@@ -40,7 +40,6 @@ struct NetFixture {
 
   NetFixture() {
     net::WireServerOptions opts;
-    opts.service.numaAware = false;
     server = std::make_unique<net::WireServer>(opts);
     server->start();
     Rng rng(42);

@@ -74,11 +74,10 @@ BENCHMARK(BM_ProverThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 void BM_ProverHead(benchmark::State& state) {
   // The prover's serial head in isolation: interval representation (given)
   // -> lane plan -> construction sequence -> hierarchy, plus the Prop 2.2
-  // pointer BFS.  This was the Amdahl limit once the waves scaled; the
-  // pipelined prover overlaps it with wave execution, and
-  // BENCH_prover_head.json archives the single-thread head cost itself
-  // (epoch-stamped plan-builder lookups, O(subtree) T-node wraps, deferred
-  // terminal materialization).
+  // pointer BFS.  None of it shards over the executor, so it is the
+  // Amdahl term of BM_ProverThreads; BENCH_prover_head.json archives its
+  // single-thread cost (epoch-stamped plan-builder lookups, O(subtree)
+  // T-node wraps, deferred terminal materialization).
   const auto inst = instance(2, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     const ProvePlan plan = buildProvePlan(inst.g, &inst.rep);
@@ -89,22 +88,6 @@ void BM_ProverHead(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ProverHead)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
-
-void BM_ProverArena(benchmark::State& state) {
-  // The single-thread allocation dimension at the BENCH_prover.json sizes:
-  // flat CSR subtree storage + arena scratch + cached entry encodings vs
-  // the PR 1 baseline's map-backed, re-encoding prover (see
-  // bench/BENCH_prover.json for the recorded before/after wall times).
-  const auto inst = instance(2, static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    const auto r =
-        proveCore(inst.g, inst.ids, *makeConnectivity(), &inst.rep, 1);
-    benchmark::DoNotOptimize(r.labels);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_ProverArena)->Arg(1024)->Arg(4096)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_Verifier(benchmark::State& state) {
   const auto inst = instance(2, static_cast<int>(state.range(0)));

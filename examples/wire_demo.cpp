@@ -36,7 +36,6 @@ using namespace lanecert;
 
 int main() {
   net::WireServerOptions opts;
-  opts.service.numaAware = false;
   net::WireServer server(opts);
   server.start();
   std::printf("server on 127.0.0.1:%u\n\n", unsigned(server.port()));

@@ -15,7 +15,6 @@
 #include "pls/pointer.hpp"
 #include "runtime/arena.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/pipeline.hpp"
 
 namespace lanecert {
 
@@ -47,17 +46,13 @@ void encodeSummary(Encoder& enc, const NodeData& d, std::int64_t nodeId,
 
 /// Builds every NodeData / record needed for the certificates.
 ///
-/// Phase 1 (computeStates / computeStatesStreamed): level-synchronous waves
-/// over the hierarchy DAG — a node's hom state depends only on its
-/// children's, so all nodes of one bottom-up wave run in parallel through
-/// the deterministic shard executor.  The STREAMED variant consumes a
-/// StageFeed while the hierarchy replay is still producing nodes: layout
-/// and wave bookkeeping extend incrementally in published-id order, small
-/// increments run inline on the consumer thread, and a backlog fans out as
-/// full waves.  Either way every NodeData is the same pure function of its
-/// children, so the results are bit-identical.  Subtree-merged data
-/// TM(T_child) lives in flat CSR storage indexed by (T-node, child
-/// position); fold orderings come from a per-shard arena.
+/// Phase 1 (computeStates): level-synchronous waves over the hierarchy DAG
+/// — a node's hom state depends only on its children's, so all nodes of
+/// one bottom-up wave run in parallel through the deterministic shard
+/// executor, and every NodeData is the same pure function of its children
+/// whatever the thread count.  Subtree-merged data TM(T_child) lives in
+/// flat CSR storage indexed by (T-node, child position); fold orderings
+/// come from a per-shard arena.
 ///
 /// Phase 2 (encodeEntries): each hierarchy node's chain-entry record is a
 /// pure function of the computed states, shared verbatim by every edge
@@ -65,7 +60,6 @@ void encodeSummary(Encoder& enc, const NodeData& d, std::int64_t nodeId,
 /// parallel) and certificates later splice the cached bytes.
 class CertBuilder {
  public:
-  /// Prebuilt-plan mode: every node is already final.
   CertBuilder(const Graph& g, const IdAssignment& ids, const Property& prop,
               const Hierarchy& hier, ParallelExecutor& exec,
               std::vector<ProverScratch>& scratch)
@@ -74,18 +68,8 @@ class CertBuilder {
         nodeCount_(hier.nodes().size()),
         rootId_(hier.root()) {}
 
-  /// Streaming mode: nodes arrive through a StageFeed (computeStatesStreamed).
-  CertBuilder(const Graph& g, const IdAssignment& ids, const Property& prop,
-              ParallelExecutor& exec, std::vector<ProverScratch>& scratch)
-      : g_(g), ids_(ids), alg_(prop), exec_(exec), scratch_(scratch) {}
-
   /// Computes hom data bottom-up; returns the root NodeData.
   const NodeData& computeStates();
-
-  /// Streaming twin: consumes published nodes as the replay produces them.
-  /// Runs on ONE thread (typically a pool-overlapped StealableTask); only
-  /// the forShards waves it issues fan out further.
-  const NodeData& computeStatesStreamed(const StageFeed<HierNode>& feed);
 
   /// Encodes the per-node owner entries and per-(T, pos) tree entries.
   void encodeEntries();
@@ -122,13 +106,12 @@ class CertBuilder {
   }
   [[nodiscard]] std::uint64_t id(VertexId v) const { return ids_.id(v); }
 
-  /// Extends the TM-slot CSR layout, posInParent_, and wave bookkeeping to
-  /// cover nodes [layoutDone_, upTo).  Nodes arrive in topological id
-  /// order, so every append is determined the moment its node is.
-  void extendLayout(std::size_t upTo);
-  /// Runs the bottom-up waves of nodes [lo, hi) (children first; a wave
-  /// below kInlineWave nodes runs inline instead of paying a fork-join).
-  void runWaves(std::size_t lo, std::size_t hi);
+  /// Lays out the TM-slot CSR, posInParent_, and every node's bottom-up
+  /// wave in one ascending-id pass (children precede parents).
+  void buildLayout();
+  /// Runs the bottom-up waves (children first; a wave below kInlineWave
+  /// nodes runs inline instead of paying a fork-join).
+  void runWaves();
   void computeNode(int nid, ProverScratch& scratch);
   void encodeOwnerEntry(Encoder& enc, int nid) const;
   void encodeTreeEntry(Encoder& enc, int tId, int pos) const;
@@ -139,7 +122,7 @@ class CertBuilder {
   ParallelExecutor& exec_;
   std::vector<ProverScratch>& scratch_;
 
-  const HierNode* nodes_ = nullptr;  ///< address-stable node array
+  const HierNode* nodes_ = nullptr;
   std::size_t nodeCount_ = 0;
   int rootId_ = -1;
 
@@ -155,26 +138,24 @@ class CertBuilder {
   std::vector<int> posInParent_;
   /// Bottom-up wave index per node (leaves 0, parents max(child) + 1).
   std::vector<int> waveOf_;
-  std::size_t layoutDone_ = 0;
-  std::vector<std::vector<int>> kidBuckets_;   ///< extendLayout scratch
-  std::vector<std::vector<int>> waveBuckets_;  ///< runWaves scratch
 
   std::vector<std::string> ownerBytes_;  ///< per node: encoded owner entry (E/P/B)
   std::vector<std::string> treeBytes_;   ///< per TM slot: encoded T entry
 
-  /// Waves below this size run inline on the driving thread — a streamed
-  /// mini-batch of a handful of nodes is cheaper to compute than to fan
-  /// out, and the choice cannot change any output byte.
+  /// Waves below this size run inline on the driving thread — the narrow
+  /// top waves of a hierarchy are cheaper to compute than to fan out, and
+  /// the choice cannot change any output byte.
   static constexpr std::size_t kInlineWave = 32;
 };
 
-void CertBuilder::extendLayout(std::size_t upTo) {
-  if (tmOffset_.empty()) tmOffset_.push_back(0);
-  if (kidsOffset_.empty()) kidsOffset_.push_back(0);
-  posInParent_.resize(upTo, -1);
-  waveOf_.resize(upTo, 0);
-  nodeData_.resize(upTo);
-  for (std::size_t nid = layoutDone_; nid < upTo; ++nid) {
+void CertBuilder::buildLayout() {
+  tmOffset_.assign(1, 0);
+  kidsOffset_.assign(1, 0);
+  posInParent_.assign(nodeCount_, -1);
+  waveOf_.assign(nodeCount_, 0);
+  nodeData_.resize(nodeCount_);
+  std::vector<std::vector<int>> kidBuckets;
+  for (std::size_t nid = 0; nid < nodeCount_; ++nid) {
     const HierNode& n = node(static_cast<int>(nid));
     int w = 0;
     for (int c : n.children) {
@@ -197,17 +178,17 @@ void CertBuilder::extendLayout(std::size_t upTo) {
     // Tree-merge kids per TM slot, sorted by the child's smallest lane
     // (lane sets of siblings are disjoint, so the key is unique and the
     // order deterministic).
-    if (kidBuckets_.size() < cn) kidBuckets_.resize(cn);
-    for (std::size_t p = 0; p < cn; ++p) kidBuckets_[p].clear();
+    if (kidBuckets.size() < cn) kidBuckets.resize(cn);
+    for (std::size_t p = 0; p < cn; ++p) kidBuckets[p].clear();
     for (std::size_t q = 0; q < cn; ++q) {
       const int tp = n.treeParentPos[q];
       if (tp >= 0) {
-        kidBuckets_[static_cast<std::size_t>(tp)].push_back(
+        kidBuckets[static_cast<std::size_t>(tp)].push_back(
             static_cast<int>(q));
       }
     }
     for (std::size_t p = 0; p < cn; ++p) {
-      std::vector<int>& bucket = kidBuckets_[p];
+      std::vector<int>& bucket = kidBuckets[p];
       std::sort(bucket.begin(), bucket.end(), [&n, this](int a, int b) {
         return node(n.children[static_cast<std::size_t>(a)]).lanes[0] <
                node(n.children[static_cast<std::size_t>(b)]).lanes[0];
@@ -218,7 +199,6 @@ void CertBuilder::extendLayout(std::size_t upTo) {
   }
   tmData_.resize(tmOffset_.back());
   treeBytes_.resize(tmOffset_.back());
-  layoutDone_ = upTo;
 }
 
 void CertBuilder::computeNode(int nid, ProverScratch& s) {
@@ -273,61 +253,29 @@ void CertBuilder::computeNode(int nid, ProverScratch& s) {
   }
 }
 
-void CertBuilder::runWaves(std::size_t lo, std::size_t hi) {
-  if (lo >= hi) return;
-  int minWave = waveOf_[lo];
-  int maxWave = waveOf_[lo];
-  for (std::size_t i = lo; i < hi; ++i) {
-    minWave = std::min(minWave, waveOf_[i]);
-    maxWave = std::max(maxWave, waveOf_[i]);
+void CertBuilder::runWaves() {
+  int maxWave = 0;
+  for (const int w : waveOf_) maxWave = std::max(maxWave, w);
+  std::vector<std::vector<int>> waves(static_cast<std::size_t>(maxWave) + 1);
+  for (std::size_t i = 0; i < nodeCount_; ++i) {
+    waves[static_cast<std::size_t>(waveOf_[i])].push_back(static_cast<int>(i));
   }
-  const auto span = static_cast<std::size_t>(maxWave - minWave) + 1;
-  if (waveBuckets_.size() < span) waveBuckets_.resize(span);
-  for (std::size_t w = 0; w < span; ++w) waveBuckets_[w].clear();
-  for (std::size_t i = lo; i < hi; ++i) {
-    waveBuckets_[static_cast<std::size_t>(waveOf_[i] - minWave)].push_back(
-        static_cast<int>(i));
-  }
-  for (std::size_t w = 0; w < span; ++w) {
-    const std::vector<int>& bucket = waveBuckets_[w];
-    if (bucket.empty()) continue;
-    if (bucket.size() < kInlineWave || exec_.numThreads() <= 1) {
-      for (int nid : bucket) computeNode(nid, scratch_[0]);
+  for (const std::vector<int>& wave : waves) {
+    if (wave.size() < kInlineWave || exec_.numThreads() <= 1) {
+      for (int nid : wave) computeNode(nid, scratch_[0]);
     } else {
-      exec_.forShards(bucket.size(), [&](std::size_t shard, std::size_t b,
-                                         std::size_t e) {
+      exec_.forShards(wave.size(), [&](std::size_t shard, std::size_t b,
+                                       std::size_t e) {
         ProverScratch& s = scratch_[shard];
-        for (std::size_t i = b; i < e; ++i) computeNode(bucket[i], s);
+        for (std::size_t i = b; i < e; ++i) computeNode(wave[i], s);
       });
     }
   }
 }
 
 const NodeData& CertBuilder::computeStates() {
-  extendLayout(nodeCount_);
-  runWaves(0, nodeCount_);
-  return data(rootId_);
-}
-
-const NodeData& CertBuilder::computeStatesStreamed(
-    const StageFeed<HierNode>& feed) {
-  std::size_t have = 0;
-  while (true) {
-    const StageFeed<HierNode>::Progress p = feed.awaitBeyond(have);
-    if (p.published > have) {
-      nodes_ = feed.items();
-      nodeCount_ = p.published;
-      extendLayout(p.published);
-      runWaves(have, p.published);
-      have = p.published;
-    } else if (p.done) {
-      break;
-    }
-  }
-  if (nodeCount_ == 0) {
-    throw std::logic_error("computeStatesStreamed: empty hierarchy feed");
-  }
-  rootId_ = static_cast<int>(nodeCount_) - 1;  // the final T-node is last
+  buildLayout();
+  runWaves();
   return data(rootId_);
 }
 
@@ -461,16 +409,12 @@ void CertBuilder::encodeCert(Encoder& enc, bool real, std::uint64_t endA,
   for (std::string_view e : chain) enc.raw(e);
 }
 
-/// Shared prover tail: accept check, entry/cert encoding, embedding
-/// distribution, pointer records, and label assembly.  Identical for the
-/// planned and pipelined drivers — `pointerPre`, when given, must equal
-/// provePointer(g, ids, seq.initialPath[0]) (the parallel overload
-/// guarantees that bit-for-bit).
+/// Prover tail: accept check, entry/cert encoding, embedding distribution,
+/// pointer records, and label assembly.
 CoreProveResult proveBody(const Graph& g, const IdAssignment& ids,
                           const ProvePlan& plan, CertBuilder& builder,
                           const NodeData& rootData, ParallelExecutor& exec,
-                          std::vector<ProverScratch>& scratch,
-                          std::vector<PointerRecord>* pointerPre) {
+                          std::vector<ProverScratch>& scratch) {
   CoreProveResult out;
   const HierarchyResult& hier = plan.hier;
   out.stats.width = plan.rep.width();
@@ -530,11 +474,9 @@ CoreProveResult proveBody(const Graph& g, const IdAssignment& ids,
   }
 
   // Prop 2.2 pointer to the anchor (first initial-path vertex: the root
-  // child's in-terminal on the smallest lane).  The pipelined driver hands
-  // in the records it computed while the waves were draining.
+  // child's in-terminal on the smallest lane).
   const std::vector<PointerRecord> pointer =
-      pointerPre != nullptr ? std::move(*pointerPre)
-                            : provePointer(g, ids, plan.seq.initialPath[0]);
+      provePointer(g, ids, plan.seq.initialPath[0]);
 
   // Label assembly: one encoded EdgeLabel per real edge, again sharded with
   // each shard writing disjoint label slots.
@@ -571,20 +513,15 @@ CoreProveResult proveBody(const Graph& g, const IdAssignment& ids,
   return out;
 }
 
-/// Degenerate single-vertex / empty graph short-circuit shared by both
-/// prover drivers.
-CoreProveResult proveDegenerate(const Graph& g, const Property& prop) {
-  CoreProveResult out;
-  const LaneAlgebra alg(prop);
-  out.propertyHolds = g.numVertices() == 1 ? alg.acceptsSingleVertex()
-                                           : prop.accepts(prop.empty());
-  return out;
-}
-
 }  // namespace
 
 ProvePlan buildProvePlan(const Graph& g, const IntervalRepresentation* rep,
                          ParallelExecutor* exec) {
+  // Checked up front: the lane plan would reject a disconnected graph too,
+  // but only after the whole interval decomposition has run.
+  if (!isConnected(g)) {
+    throw std::invalid_argument("buildProvePlan: graph must be connected");
+  }
   IntervalRepresentation r =
       rep != nullptr ? *rep : bestIntervalRepresentation(g, 18, exec);
   LanePlan plan = buildLanePlan(g, r);
@@ -597,16 +534,19 @@ ProvePlan buildProvePlan(const Graph& g, const IntervalRepresentation* rep,
 CoreProveResult proveCore(const Graph& g, const IdAssignment& ids,
                           const Property& prop,
                           const IntervalRepresentation* rep, int numThreads) {
-  if (!isConnected(g)) {
-    throw std::invalid_argument("proveCore: graph must be connected");
-  }
   if (g.numVertices() <= 1) {
-    // Rejected before the executor exists: degenerate inputs must not pay
-    // a worker-pool spin-up.
-    return proveDegenerate(g, prop);
+    // Degenerate single-vertex (or empty) network: no edges, no labels, no
+    // plan — answered before the executor exists, so it never pays a
+    // worker-pool spin-up.
+    CoreProveResult out;
+    out.propertyHolds = g.numVertices() == 1
+                            ? LaneAlgebra(prop).acceptsSingleVertex()
+                            : prop.accepts(prop.empty());
+    return out;
   }
   ParallelExecutor exec(numThreads);
-  return proveCorePipelined(g, ids, prop, rep, exec);
+  const ProvePlan plan = buildProvePlan(g, rep, &exec);
+  return proveCore(g, ids, prop, plan, exec);
 }
 
 CoreProveResult proveCore(const Graph& g, const IdAssignment& ids,
@@ -616,77 +556,7 @@ CoreProveResult proveCore(const Graph& g, const IdAssignment& ids,
       static_cast<std::size_t>(exec.numThreads()));
   CertBuilder builder(g, ids, prop, plan.hier.hierarchy, exec, scratch);
   const NodeData& rootData = builder.computeStates();
-  return proveBody(g, ids, plan, builder, rootData, exec, scratch, nullptr);
-}
-
-CoreProveResult proveCorePipelined(const Graph& g, const IdAssignment& ids,
-                                   const Property& prop,
-                                   const IntervalRepresentation* rep,
-                                   ParallelExecutor& exec,
-                                   const PlanReadyHook& onPlanReady) {
-  if (!isConnected(g)) {
-    throw std::invalid_argument("proveCore: graph must be connected");
-  }
-  if (g.numVertices() <= 1) {
-    // Degenerate single-vertex (or empty) network: no edges, no labels, no
-    // plan to publish.
-    return proveDegenerate(g, prop);
-  }
-
-  // Head front: representation -> lane plan -> construction sequence.
-  auto plan = std::make_shared<ProvePlan>();
-  plan->rep = rep != nullptr ? *rep : bestIntervalRepresentation(g, 18, &exec);
-  plan->plan = buildLanePlan(g, plan->rep);
-  plan->seq = buildConstruction(g, plan->rep, plan->plan.lanes);
-
-  // Wave consumer: posted to the pool so a free worker overlaps it with the
-  // hierarchy replay below; join() steals it inline when none is (or when
-  // the executor is single-threaded), degrading to the serial order.
-  std::vector<ProverScratch> scratch(
-      static_cast<std::size_t>(exec.numThreads()));
-  CertBuilder builder(g, ids, prop, exec, scratch);
-  StageFeed<HierNode> feed;
-  const NodeData* rootData = nullptr;
-  auto consumer = std::make_shared<StealableTask>(
-      [&] { rootData = &builder.computeStatesStreamed(feed); });
-
-  // The consumer closure targets this frame's locals, so EVERY exit path
-  // past postTo must collapse it before unwinding — buildHierarchy throwing
-  // (it fails the feed first), the caller's onPlanReady hook throwing, or
-  // the pointer stage throwing.  The guard joins (swallowing the consumer's
-  // own error — the unwinding exception wins) unless the normal path
-  // already did.
-  struct ConsumerJoinGuard {
-    std::shared_ptr<StealableTask> task;
-    StageFeed<HierNode>& feed;
-    bool joined = false;
-    ~ConsumerJoinGuard() {
-      if (joined) return;
-      feed.fail(std::make_exception_ptr(
-          std::runtime_error("proveCorePipelined: head stage failed")));
-      try {
-        task->join();
-      } catch (...) {
-      }
-    }
-  } joinGuard{consumer, feed};
-  if (exec.numThreads() > 1) consumer->postTo(exec.workerPool());
-
-  // Streams nodes into `feed` as the replay finalizes them; terminal maps
-  // materialize level-parallel after the feed closes.
-  plan->hier = buildHierarchy(plan->seq, &feed, &exec);
-
-  // The head is complete and immutable: hand it to coalesced waiters while
-  // our own waves are still draining.
-  if (onPlanReady) onPlanReady(plan);
-
-  // Pointer stage overlaps the consumer finishing the last waves.
-  std::vector<PointerRecord> pointer =
-      provePointer(g, ids, plan->seq.initialPath[0], exec);
-
-  consumer->join();  // rethrows wave errors
-  joinGuard.joined = true;
-  return proveBody(g, ids, *plan, builder, *rootData, exec, scratch, &pointer);
+  return proveBody(g, ids, plan, builder, rootData, exec, scratch);
 }
 
 }  // namespace lanecert

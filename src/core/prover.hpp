@@ -11,8 +11,6 @@
 // property (soundness makes honest labels impossible anyway); callers see
 // `propertyHolds == false` and an empty label vector.
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -62,22 +60,23 @@ struct ProvePlan {
 /// Builds the plan stage.  `rep` may supply a known interval representation
 /// (e.g. from a generator); otherwise one is computed (exact for small
 /// graphs, greedy otherwise — a non-null `exec` parallelizes the greedy
-/// candidate scans with output identical to serial).
+/// candidate scans with output identical to serial).  Throws
+/// std::invalid_argument for a disconnected graph, before any
+/// decomposition work runs.
 [[nodiscard]] ProvePlan buildProvePlan(
     const Graph& g, const IntervalRepresentation* rep = nullptr,
     ParallelExecutor* exec = nullptr);
 
-/// Runs the full prover.  `rep` may supply a known interval representation
-/// (e.g. from a generator); otherwise one is computed (exact for small
-/// graphs, greedy otherwise).  Precondition: g connected; ids distinct.
+/// Runs the full prover: buildProvePlan, then the planned body below on a
+/// private executor of `numThreads` (<= 0 resolves to the hardware
+/// concurrency, mirroring SimulationOptions).  `rep` may supply a known
+/// interval representation (e.g. from a generator); otherwise one is
+/// computed.  Precondition: ids distinct; a disconnected g throws
+/// std::invalid_argument.
 ///
-/// `numThreads` shards the bottom-up hom-state waves, the certificate-
-/// record encoding, and the label assembly over the deterministic runtime
-/// executor (<= 0 resolves to the hardware concurrency, mirroring
-/// SimulationOptions).  The result — labels, stats, everything — is
-/// BIT-IDENTICAL for every thread count: waves only order work that is
-/// independent by construction, and every output slot is written by
-/// exactly one shard.
+/// The result — labels, stats, everything — is BIT-IDENTICAL for every
+/// thread count: waves only order work that is independent by
+/// construction, and every output slot is written by exactly one shard.
 [[nodiscard]] CoreProveResult proveCore(const Graph& g, const IdAssignment& ids,
                                         const Property& prop,
                                         const IntervalRepresentation* rep = nullptr,
@@ -94,24 +93,5 @@ struct ProvePlan {
                                         const Property& prop,
                                         const ProvePlan& plan,
                                         ParallelExecutor& exec);
-
-/// Invoked by the pipelined prover the moment the head (the full ProvePlan)
-/// is built — BEFORE the waves that consume it have finished.  The serving
-/// layer uses this to hand an in-flight head build to coalesced cache-miss
-/// jobs as early as possible.  The plan is immutable from this point on.
-using PlanReadyHook =
-    std::function<void(const std::shared_ptr<const ProvePlan>&)>;
-
-/// The PIPELINED prover: instead of barriering on a finished plan, the
-/// hierarchy replay streams finalized nodes into the hom-state waves (a
-/// pool-overlapped consumer via runtime/pipeline.hpp), terminal
-/// materialization runs level-parallel inside the head, and the Prop 2.2
-/// pointer BFS runs frontier-parallel while the waves drain.  Output is
-/// BIT-IDENTICAL to proveCore over a prebuilt plan for every thread count
-/// and pool size; `proveCore(g, ids, prop, rep, numThreads)` routes here.
-[[nodiscard]] CoreProveResult proveCorePipelined(
-    const Graph& g, const IdAssignment& ids, const Property& prop,
-    const IntervalRepresentation* rep, ParallelExecutor& exec,
-    const PlanReadyHook& onPlanReady = {});
 
 }  // namespace lanecert

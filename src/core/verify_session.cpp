@@ -33,51 +33,25 @@ void VerifySession::ensureThreadStates(int count) {
   }
 }
 
-void VerifySession::setTopology(NumaTopology topo) {
-  topo_ = std::move(topo);
-  topoSet_ = true;
-  // Replicas (if any) were built for the OLD placement; the next sweep
-  // rebuilds them from the current label bytes, so no state is stale.
-  mirror_.reset();
-}
-
-void VerifySession::ensureMirror(ParallelExecutor& exec) {
-  if (!topoSet_) {
-    topo_ = NumaTopology::detect();
-    topoSet_ = true;
-  }
-  if (!topo_.multiNode() || mirror_) return;
-  mirror_ = std::make_unique<NumaLabelMirror>(g_, store_,
-                                              topo_.nodeCount() - 1, exec);
-}
-
-const VertexLabelIndex& VerifySession::indexForShard(std::size_t shard) const {
-  if (!mirror_) return index_;
-  const std::size_t node = topo_.nodeOfShard(shard);
-  return node == 0 ? index_ : mirror_->index(node - 1);
-}
-
-void VerifySession::checkVertexInto(VertexId v, const VertexLabelIndex& idx,
+void VerifySession::checkVertexInto(VertexId v,
                                     CoreVerifierEngine::ThreadState& state) {
   EdgeView view;
   view.selfId = ids_.id(v);
-  view.incidentLabels = idx.row(v);
+  view.incidentLabels = index_.row(v);
   verdicts_[static_cast<std::size_t>(v)] =
       engine_.check(view, state) ? 1 : 0;
 }
 
 SimulationResult VerifySession::verifyAll(ParallelExecutor& exec) {
   ensureIndex(exec);
-  ensureMirror(exec);
   ensureThreadStates(exec.numThreads());
   const auto n = static_cast<std::size_t>(g_.numVertices());
   verdicts_.assign(n, 0);
   exec.forShards(n, [&](std::size_t shard, std::size_t begin,
                         std::size_t end) {
     CoreVerifierEngine::ThreadState& state = threadStates_[shard];
-    const VertexLabelIndex& idx = indexForShard(shard);
     for (std::size_t vi = begin; vi < end; ++vi) {
-      checkVertexInto(static_cast<VertexId>(vi), idx, state);
+      checkVertexInto(static_cast<VertexId>(vi), state);
     }
   });
   swept_ = true;
@@ -95,9 +69,6 @@ std::vector<VertexId> VerifySession::applyEdits(
   // Rows must track the store for every FUTURE sweep; before the first
   // sweep there is no index yet — it is built from the current views then.
   if (indexBuilt_) refreshIncidentEdgeRows(index_, g_, store_, dirty);
-  // Per-node replicas converge through the SAME entry point, incrementally
-  // (only edited labels rewritten, only dirty rows re-sorted per replica).
-  if (mirror_) mirror_->applyEdits(g_, edits);
   // Bound the sweep cache: edits retire entry variants (superseded label
   // bytes) that identity-keyed memoization would otherwise retain for the
   // session's whole lifetime.  The cap is generous — several times the
@@ -129,7 +100,6 @@ std::vector<VertexId> VerifySession::applyEdits(
                     touched.end());
       refreshIncidentEdgeRows(index_, g_, store_, touched);
     }
-    if (mirror_) mirror_->compactEpochs(g_);
   }
   return dirty;
 }
@@ -169,9 +139,8 @@ SimulationResult VerifySession::reverify(
                  [&](std::size_t shard, std::size_t begin, std::size_t end) {
                    CoreVerifierEngine::ThreadState& state =
                        threadStates_[shard];
-                   const VertexLabelIndex& idx = indexForShard(shard);
                    for (std::size_t i = begin; i < end; ++i) {
-                     checkVertexInto(rows[i], idx, state);
+                     checkVertexInto(rows[i], state);
                    }
                  });
   return assembleResult();

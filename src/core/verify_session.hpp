@@ -40,8 +40,6 @@
 #include "graph/graph.hpp"
 #include "pls/scheme.hpp"
 #include "runtime/label_store.hpp"
-#include "runtime/numa_mirror.hpp"
-#include "runtime/topology.hpp"
 
 namespace lanecert {
 
@@ -103,37 +101,17 @@ class VerifySession {
   [[nodiscard]] SweepCacheStats cacheStats() const {
     return engine_.cacheStats();
   }
-  /// Epoch slots held by the owned store (primary plane only).  Bounded
-  /// under a sustained edit stream: applyEdits folds garbage slots via
-  /// LabelStore::compactEpochs once they dominate the live set — the soak
-  /// bench charts this to prove memory does not creep.
+  /// Epoch slots held by the owned store.  Bounded under a sustained edit
+  /// stream: applyEdits folds garbage slots via LabelStore::compactEpochs
+  /// once they dominate the live set — the soak bench charts this to prove
+  /// memory does not creep.
   [[nodiscard]] std::size_t epochSlots() const { return store_.epochSlots(); }
-
-  /// Overrides the NUMA topology used for label-plane placement (by
-  /// default detect() runs lazily before the first sweep).  On a
-  /// multi-node topology the session mirrors its label plane once per
-  /// extra node and each sweep shard reads the replica of ITS node —
-  /// verdicts are byte-identical either way (the coherence tests force a
-  /// synthetic multi-node topology on single-node machines to prove it).
-  /// Resets any existing replicas; the next sweep rebuilds them from the
-  /// current label bytes.
-  void setTopology(NumaTopology topo);
-  /// Label planes serving sweeps: 1 (the primary store) + one per extra
-  /// node once a multi-node sweep has run.
-  [[nodiscard]] std::size_t labelReplicaCount() const {
-    return 1 + (mirror_ ? mirror_->replicaCount() : 0);
-  }
 
  private:
   void ensureIndex(ParallelExecutor& exec);
   void ensureThreadStates(int count);
-  void ensureMirror(ParallelExecutor& exec);
-  /// The CSR index shard `shard` reads: the primary for node 0, that
-  /// node's replica otherwise.  Pure function of (shard, topology).
-  [[nodiscard]] const VertexLabelIndex& indexForShard(std::size_t shard) const;
   [[nodiscard]] SimulationResult assembleResult() const;
-  void checkVertexInto(VertexId v, const VertexLabelIndex& idx,
-                       CoreVerifierEngine::ThreadState& state);
+  void checkVertexInto(VertexId v, CoreVerifierEngine::ThreadState& state);
 
   Graph g_;
   IdAssignment ids_;
@@ -147,10 +125,6 @@ class VerifySession {
   std::vector<CoreVerifierEngine::ThreadState> threadStates_;
   std::vector<std::uint8_t> verdicts_;  ///< 1 = accept, indexed by vertex
   bool swept_ = false;
-  NumaTopology topo_;
-  bool topoSet_ = false;  ///< setTopology called or detect() already ran
-  /// Per-extra-node label replicas; null on single-node topologies.
-  std::unique_ptr<NumaLabelMirror> mirror_;
 };
 
 }  // namespace lanecert

@@ -6,8 +6,6 @@
 #include <queue>
 #include <stdexcept>
 
-#include "runtime/executor.hpp"
-
 namespace lanecert {
 
 std::vector<int> bfsDistances(const Graph& g, VertexId source) {
@@ -76,69 +74,6 @@ SpanningTree bfsTree(const Graph& g, VertexId root) {
         q.push(a.to);
       }
     }
-  }
-  for (int d : t.depth) {
-    if (d == -1) throw std::invalid_argument("bfsTree: graph not connected");
-  }
-  return t;
-}
-
-SpanningTree bfsTree(const Graph& g, VertexId root, ParallelExecutor& exec) {
-  if (exec.numThreads() <= 1) return bfsTree(g, root);
-  SpanningTree t;
-  t.root = root;
-  const auto n = static_cast<std::size_t>(g.numVertices());
-  t.parentVertex.assign(n, kNoVertex);
-  t.parentEdge.assign(n, kNoEdge);
-  t.depth.assign(n, -1);
-  t.depth[static_cast<std::size_t>(root)] = 0;
-
-  // One frontier per level, kept in the serial BFS queue order.  The scan
-  // phase reads only depths written by PREVIOUS levels (the merge is the
-  // sole writer and runs between scans), so shards race on nothing.
-  struct Candidate {
-    VertexId to = kNoVertex;
-    VertexId from = kNoVertex;
-    EdgeId edge = kNoEdge;
-  };
-  std::vector<VertexId> frontier{root};
-  std::vector<VertexId> next;
-  std::vector<std::vector<Candidate>> proposals(
-      static_cast<std::size_t>(exec.numThreads()));
-  int depth = 0;
-  while (!frontier.empty()) {
-    // Cleared up front: shards with an empty range never run, but the merge
-    // below visits every proposal list.
-    for (std::vector<Candidate>& p : proposals) p.clear();
-    exec.forShards(frontier.size(), [&](std::size_t shard, std::size_t lo,
-                                        std::size_t hi) {
-      std::vector<Candidate>& out = proposals[shard];
-      for (std::size_t i = lo; i < hi; ++i) {
-        const VertexId u = frontier[i];
-        for (const Arc& a : g.arcs(u)) {
-          if (t.depth[static_cast<std::size_t>(a.to)] == -1) {
-            out.push_back(Candidate{a.to, u, a.edge});
-          }
-        }
-      }
-    });
-    // Ordered merge: shards cover contiguous ascending frontier ranges and
-    // each shard preserves (frontier position, arc) order, so scanning the
-    // shard lists in index order claims every vertex exactly where the
-    // serial BFS would, and appends it to `next` in serial queue order.
-    next.clear();
-    for (const std::vector<Candidate>& shardOut : proposals) {
-      for (const Candidate& c : shardOut) {
-        auto& d = t.depth[static_cast<std::size_t>(c.to)];
-        if (d != -1) continue;  // claimed earlier this level (or before)
-        d = depth + 1;
-        t.parentVertex[static_cast<std::size_t>(c.to)] = c.from;
-        t.parentEdge[static_cast<std::size_t>(c.to)] = c.edge;
-        next.push_back(c.to);
-      }
-    }
-    frontier.swap(next);
-    ++depth;
   }
   for (int d : t.depth) {
     if (d == -1) throw std::invalid_argument("bfsTree: graph not connected");

@@ -10,8 +10,6 @@
 
 namespace lanecert {
 
-class ParallelExecutor;
-
 /// BFS distances from `source`; unreachable vertices get -1.
 [[nodiscard]] std::vector<int> bfsDistances(const Graph& g, VertexId source);
 
@@ -36,14 +34,6 @@ struct SpanningTree {
 
 /// BFS spanning tree rooted at `root`. Precondition: g is connected.
 [[nodiscard]] SpanningTree bfsTree(const Graph& g, VertexId root);
-
-/// Frontier-parallel BFS spanning tree: each level's adjacency scan shards
-/// over `exec`, and an ORDERED merge claims newly discovered vertices in
-/// exactly the serial queue order (first proposer in frontier-position then
-/// arc order wins) — the returned tree is BIT-IDENTICAL to bfsTree(g, root)
-/// for every thread count.  Precondition: g is connected.
-[[nodiscard]] SpanningTree bfsTree(const Graph& g, VertexId root,
-                                   ParallelExecutor& exec);
 
 /// Any simple path from `s` to `t` as a vertex sequence (BFS, so in fact a
 /// shortest path). Empty if unreachable; {s} if s == t.

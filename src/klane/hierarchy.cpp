@@ -1,12 +1,8 @@
 #include "klane/hierarchy.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <sstream>
 #include <stdexcept>
-
-#include "runtime/executor.hpp"
-#include "runtime/pipeline.hpp"
 
 namespace lanecert {
 
@@ -133,33 +129,19 @@ namespace {
 ///
 /// The replay pass is purely STRUCTURAL: it fixes every node's type, lane
 /// set, tree links, and vertex payload, but defers the TerminalMap
-/// materialization to a bottom-up post-pass (`materializeTerminals`) that
-/// runs level-by-level — serially, or sharded through a ParallelExecutor.
-/// Deferring keeps the replay loop lean and lets a streaming consumer
-/// (the prover's hom-state waves read none of the terminals) start on a
-/// node the moment its structure is final.
+/// materialization to a bottom-up post-pass at the end of run(), which
+/// keeps the replay loop lean.
 class HierarchyBuilder {
  public:
-  HierarchyBuilder(const ConstructionSequence& seq, StageFeed<HierNode>* feed,
-                   ParallelExecutor* exec)
-      : seq_(seq), feed_(feed), exec_(exec) {}
+  explicit HierarchyBuilder(const ConstructionSequence& seq) : seq_(seq) {}
 
   HierarchyResult run();
 
  private:
   int newNode(HierNode n) {
-    // A streaming consumer reads nodes_ concurrently, so the buffer must
-    // never reallocate; run() reserves the worst-case node count up front.
-    if (feed_ != nullptr && nodes_.size() == nodes_.capacity()) {
-      throw std::logic_error("HierarchyBuilder: node bound exceeded");
-    }
     nodes_.push_back(std::move(n));
     tOutDesig_.emplace_back();
     return static_cast<int>(nodes_.size()) - 1;
-  }
-
-  void publishNodes() {
-    if (feed_ != nullptr) feed_->publish(nodes_.size());
   }
 
   /// Walk-up LCA in the current working tree.
@@ -219,17 +201,12 @@ class HierarchyBuilder {
   /// `gPrime` toward the owner.
   int buildPart(int gPrime, int owner, int lane);
 
-  /// Fills inTerm/outTerm of every node bottom-up, level by level (a node's
-  /// terminals derive from its children's, which live on strictly earlier
-  /// levels).  Sharded through exec_ when present; each slot is written by
-  /// exactly one shard and TerminalMap entries are lane-sorted, so the
-  /// result is bit-identical to the serial pass.
-  void materializeTerminals();
+  /// Fills inTerm/outTerm of one node from its children's (already filled:
+  /// children always have smaller ids, and run() fills in ascending id
+  /// order).
   void fillTerminals(int id);
 
   const ConstructionSequence& seq_;
-  StageFeed<HierNode>* feed_;
-  ParallelExecutor* exec_;
   std::vector<HierNode> nodes_;
   /// Per T-node: designated vertex of each of its lanes AT WRAP TIME
   /// (aligned with the node's sorted lane list) — the outTerm snapshot the
@@ -349,53 +326,10 @@ void HierarchyBuilder::fillTerminals(int id) {
   }
 }
 
-void HierarchyBuilder::materializeTerminals() {
-  const std::size_t n = nodes_.size();
-  // Bottom-up wave per node (children have smaller ids, one forward scan).
-  std::vector<int> wave(n, 0);
-  int numWaves = 0;
-  for (std::size_t id = 0; id < n; ++id) {
-    int w = 0;
-    for (int c : nodes_[id].children) {
-      w = std::max(w, wave[static_cast<std::size_t>(c)] + 1);
-    }
-    wave[id] = w;
-    numWaves = std::max(numWaves, w + 1);
-  }
-  std::vector<std::vector<int>> levels(static_cast<std::size_t>(numWaves));
-  for (std::size_t id = 0; id < n; ++id) {
-    levels[static_cast<std::size_t>(wave[id])].push_back(static_cast<int>(id));
-  }
-  // Tiny levels are not worth a fork-join round trip.
-  constexpr std::size_t kParallelCutoff = 64;
-  for (const std::vector<int>& level : levels) {
-    if (exec_ != nullptr && level.size() >= kParallelCutoff) {
-      exec_->forShards(level.size(),
-                       [&](std::size_t, std::size_t lo, std::size_t hi) {
-                         for (std::size_t i = lo; i < hi; ++i) {
-                           fillTerminals(level[i]);
-                         }
-                       });
-    } else {
-      for (int id : level) fillTerminals(id);
-    }
-  }
-}
-
 HierarchyResult HierarchyBuilder::run() {
   const ReplayResult replay = replayConstruction(seq_);  // validates
   const int w = seq_.numLanes();
   std::vector<int> edgeOwner(static_cast<std::size_t>(replay.graph.numEdges()), -1);
-
-  // Worst-case node count: the initial P, at most three nodes per E-insert
-  // (two parts + the B), one per V-insert, and the final T.  Reserving it
-  // keeps the node array address-stable, which the streaming feed requires.
-  std::size_t maxNodes = 2;
-  for (const ConstructionOp& op : seq_.ops) {
-    maxNodes += op.kind == ConstructionOp::Kind::kVInsert ? 1 : 3;
-  }
-  nodes_.reserve(maxNodes);
-  tOutDesig_.reserve(maxNodes);
 
   // Initial P-node over the initial path.
   HierNode p;
@@ -408,10 +342,6 @@ HierarchyResult HierarchyBuilder::run() {
   inTree_[static_cast<std::size_t>(pNode)] = 1;
   for (std::size_t i = 0; i < replay.initialPathEdges.size(); ++i) {
     edgeOwner[static_cast<std::size_t>(replay.initialPathEdges[i])] = pNode;
-  }
-  if (feed_ != nullptr) {
-    feed_->open(nodes_.data());
-    publishNodes();
   }
 
   designated_ = seq_.initialPath;
@@ -469,21 +399,16 @@ HierarchyResult HierarchyBuilder::run() {
       }
       edgeOwner[static_cast<std::size_t>(replay.eInsertEdges[eEdgeIdx++])] = id;
     }
-    publishNodes();
   }
 
   // Final T-node over everything still in the working tree.
   const int root = wrapSubtree(pNode);
   nodes_[static_cast<std::size_t>(root)].parent = -1;
-  assert(nodes_.size() <= maxNodes);
 
-  // All structure is final: release the streaming consumer, then fill the
-  // terminals it never reads (level-parallel when an executor is present).
-  if (feed_ != nullptr) {
-    publishNodes();
-    feed_->close();
+  // All structure is final: fill the deferred terminals, children first.
+  for (std::size_t id = 0; id < nodes_.size(); ++id) {
+    fillTerminals(static_cast<int>(id));
   }
-  materializeTerminals();
 
   return HierarchyResult{Hierarchy(std::move(nodes_), root), replay.graph,
                          std::move(edgeOwner), designated_};
@@ -492,20 +417,7 @@ HierarchyResult HierarchyBuilder::run() {
 }  // namespace
 
 HierarchyResult buildHierarchy(const ConstructionSequence& seq) {
-  return buildHierarchy(seq, nullptr, nullptr);
-}
-
-HierarchyResult buildHierarchy(const ConstructionSequence& seq,
-                               StageFeed<HierNode>* feed,
-                               ParallelExecutor* exec) {
-  try {
-    return HierarchyBuilder(seq, feed, exec).run();
-  } catch (...) {
-    // A streaming consumer must never be left waiting on a feed whose
-    // producer died; fail it with the same exception.
-    if (feed != nullptr) feed->fail(std::current_exception());
-    throw;
-  }
+  return HierarchyBuilder(seq).run();
 }
 
 }  // namespace lanecert

@@ -23,10 +23,6 @@
 
 namespace lanecert {
 
-class ParallelExecutor;
-template <typename T>
-class StageFeed;
-
 /// A sparse lane -> vertex mapping for in-/out-terminals.
 class TerminalMap {
  public:
@@ -130,22 +126,5 @@ struct HierarchyResult {
 /// sequence.  Throws std::invalid_argument on malformed sequences (same
 /// validation as replayConstruction).
 [[nodiscard]] HierarchyResult buildHierarchy(const ConstructionSequence& seq);
-
-/// Pipelined overload: the STRUCTURAL replay streams finalized nodes
-/// through `feed` (published in id order; the node array is address-stable
-/// for the whole build), and the level-by-level materialization of the
-/// per-node terminal maps runs bottom-up through `exec` after the replay.
-/// Either argument may be null (no streaming / serial materialization); the
-/// result is bit-identical to the plain overload in every combination.
-///
-/// Feed contract: a published node's structural fields (type, lanes, tree
-/// links, vertices) are final; `parent` is backfilled and `inTerm`/`outTerm`
-/// are materialized only after the feed CLOSES, so a streaming consumer may
-/// read everything the prover's hom-state pass needs but must not read
-/// terminals or parents until the build returns.  On error the feed fails
-/// with the thrown exception before it escapes.
-[[nodiscard]] HierarchyResult buildHierarchy(const ConstructionSequence& seq,
-                                             StageFeed<HierNode>* feed,
-                                             ParallelExecutor* exec);
 
 }  // namespace lanecert

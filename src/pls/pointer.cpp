@@ -1,49 +1,8 @@
 #include "pls/pointer.hpp"
 
 #include "graph/algorithms.hpp"
-#include "runtime/executor.hpp"
 
 namespace lanecert {
-
-namespace {
-
-/// Shared record fill: tree-agnostic part of both prover overloads.
-std::vector<PointerRecord> recordsFromTree(const Graph& g,
-                                           const IdAssignment& ids,
-                                           VertexId target,
-                                           const SpanningTree& tree,
-                                           ParallelExecutor* exec) {
-  std::vector<PointerRecord> out(static_cast<std::size_t>(g.numEdges()));
-  const std::uint64_t rootId = ids.id(target);
-  const auto fillRoot = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t e = lo; e < hi; ++e) out[e].rootId = rootId;
-  };
-  // Every non-root vertex owns exactly one parent edge, so the tree-edge
-  // fill writes disjoint record slots and shards freely.
-  const auto fillTree = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t v = lo; v < hi; ++v) {
-      const EdgeId pe = tree.parentEdge[v];
-      if (pe == kNoEdge) continue;
-      PointerRecord& r = out[static_cast<std::size_t>(pe)];
-      r.treeEdge = true;
-      r.childDepth = static_cast<std::uint64_t>(tree.depth[v]);
-      r.childId = ids.id(static_cast<VertexId>(v));
-    }
-  };
-  if (exec != nullptr && exec->numThreads() > 1) {
-    exec->forShards(out.size(), [&](std::size_t, std::size_t lo,
-                                    std::size_t hi) { fillRoot(lo, hi); });
-    exec->forShards(
-        static_cast<std::size_t>(g.numVertices()),
-        [&](std::size_t, std::size_t lo, std::size_t hi) { fillTree(lo, hi); });
-  } else {
-    fillRoot(0, out.size());
-    fillTree(0, static_cast<std::size_t>(g.numVertices()));
-  }
-  return out;
-}
-
-}  // namespace
 
 void PointerRecord::encodeTo(Encoder& enc) const {
   enc.u64(rootId);
@@ -67,13 +26,20 @@ PointerRecord PointerRecord::decodeFrom(Decoder& dec) {
 
 std::vector<PointerRecord> provePointer(const Graph& g, const IdAssignment& ids,
                                         VertexId target) {
-  return recordsFromTree(g, ids, target, bfsTree(g, target), nullptr);
-}
-
-std::vector<PointerRecord> provePointer(const Graph& g, const IdAssignment& ids,
-                                        VertexId target,
-                                        ParallelExecutor& exec) {
-  return recordsFromTree(g, ids, target, bfsTree(g, target, exec), &exec);
+  const SpanningTree tree = bfsTree(g, target);
+  std::vector<PointerRecord> out(static_cast<std::size_t>(g.numEdges()));
+  const std::uint64_t rootId = ids.id(target);
+  for (PointerRecord& r : out) r.rootId = rootId;
+  // Every non-root vertex owns exactly one parent edge.
+  for (std::size_t v = 0; v < tree.parentEdge.size(); ++v) {
+    const EdgeId pe = tree.parentEdge[v];
+    if (pe == kNoEdge) continue;
+    PointerRecord& r = out[static_cast<std::size_t>(pe)];
+    r.treeEdge = true;
+    r.childDepth = static_cast<std::uint64_t>(tree.depth[v]);
+    r.childId = ids.id(static_cast<VertexId>(v));
+  }
+  return out;
 }
 
 bool checkPointerAt(std::uint64_t selfId,

@@ -20,8 +20,6 @@
 
 namespace lanecert {
 
-class ParallelExecutor;
-
 /// Per-edge record of the pointer scheme.
 struct PointerRecord {
   std::uint64_t rootId = 0;   ///< identifier of the target vertex
@@ -39,14 +37,6 @@ struct PointerRecord {
 [[nodiscard]] std::vector<PointerRecord> provePointer(const Graph& g,
                                                       const IdAssignment& ids,
                                                       VertexId target);
-
-/// Parallel overload: frontier-parallel BFS with deterministic ordered
-/// frontiers plus sharded record fills — records are BIT-IDENTICAL to the
-/// serial prover for every thread count.
-[[nodiscard]] std::vector<PointerRecord> provePointer(const Graph& g,
-                                                      const IdAssignment& ids,
-                                                      VertexId target,
-                                                      ParallelExecutor& exec);
 
 /// Local check at one vertex.  `expectedRoot`, when set, additionally pins
 /// the root identifier (used when the surrounding certificate names it).

@@ -4,8 +4,6 @@
 #include <atomic>
 #include <memory>
 
-#include "runtime/topology.hpp"
-
 namespace lanecert {
 
 int resolveThreadCount(int requested) {
@@ -17,23 +15,10 @@ int resolveThreadCount(int requested) {
 // ---------------------------------------------------------------------------
 // WorkerPool
 
-WorkerPool::WorkerPool(int workers, const NumaTopology* pinTopology) {
+WorkerPool::WorkerPool(int workers) {
   workers_.reserve(static_cast<std::size_t>(std::max(workers, 0)));
-  // Pinning only pays (and only restricts) across nodes; a single-node
-  // topology leaves the scheduler free.  The worker pins ITSELF before its
-  // first task so every task it ever runs sees the final placement.
-  const bool pin = pinTopology != nullptr && pinTopology->multiNode();
   for (int i = 0; i < workers; ++i) {
-    if (pin) {
-      const std::size_t node =
-          pinTopology->nodeOfShard(static_cast<std::size_t>(i) + 1);
-      workers_.emplace_back([this, topo = *pinTopology, node] {
-        pinThreadToNode(topo, node);  // advisory; failure changes nothing
-        workerLoop();
-      });
-    } else {
-      workers_.emplace_back([this] { workerLoop(); });
-    }
+    workers_.emplace_back([this] { workerLoop(); });
   }
 }
 
@@ -129,10 +114,9 @@ struct ParallelExecutor::Job {
   }
 };
 
-ParallelExecutor::ParallelExecutor(int numThreads,
-                                   const NumaTopology* pinTopology)
+ParallelExecutor::ParallelExecutor(int numThreads)
     : numThreads_(resolveThreadCount(numThreads)) {
-  owned_ = std::make_unique<WorkerPool>(numThreads_ - 1, pinTopology);
+  owned_ = std::make_unique<WorkerPool>(numThreads_ - 1);
   pool_ = owned_.get();
 }
 

@@ -40,8 +40,6 @@
 
 namespace lanecert {
 
-class NumaTopology;
-
 /// Resolves a thread-count knob: values <= 0 mean "use the hardware".
 [[nodiscard]] int resolveThreadCount(int requested);
 
@@ -61,16 +59,7 @@ class WorkerPool {
   /// Spawns exactly `workers` threads (0 is allowed: post() then only
   /// stores tasks for callers that execute them inline, which
   /// ParallelExecutor does).
-  ///
-  /// When `pinTopology` names a MULTI-node topology, worker i pins itself
-  /// (best-effort) to node (i + 1) % nodeCount — the +1 leaves node 0 to
-  /// the caller-participation slot — matching NumaTopology::nodeOfShard's
-  /// round-robin so per-node label replicas land next to their readers in
-  /// steady state.  The topology is read during construction only; pinning
-  /// is advisory and single-node topologies (or null) change nothing.
-  /// Shard CONTENT never depends on placement (dynamic claiming over
-  /// deterministic ranges), so this is purely a locality lever.
-  explicit WorkerPool(int workers, const NumaTopology* pinTopology = nullptr);
+  explicit WorkerPool(int workers);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -101,10 +90,8 @@ class ParallelExecutor {
  public:
   /// Owns a private pool of `numThreads - 1` workers; the calling thread is
   /// the remaining slot.  `numThreads <= 0` resolves to
-  /// std::thread::hardware_concurrency().  `pinTopology` is forwarded to
-  /// the owned WorkerPool (see there); null skips pinning.
-  explicit ParallelExecutor(int numThreads = 0,
-                            const NumaTopology* pinTopology = nullptr);
+  /// std::thread::hardware_concurrency().
+  explicit ParallelExecutor(int numThreads = 0);
   /// Borrows `pool`; shards = pool.workerCount() + 1 (the caller
   /// participates).  The pool must outlive the executor.  Cheap to
   /// construct — the serving layer makes one per job.
@@ -115,10 +102,6 @@ class ParallelExecutor {
   ParallelExecutor& operator=(const ParallelExecutor&) = delete;
 
   [[nodiscard]] int numThreads() const { return numThreads_; }
-
-  /// The underlying pool (owned or borrowed) — pipelined stages post
-  /// overlap tasks here (see runtime/pipeline.hpp).  Never null.
-  [[nodiscard]] WorkerPool& workerPool() const { return *pool_; }
 
   /// fn(shard, begin, end): shard `s` covers the half-open index range
   /// [begin, end).  Shards partition [0, n) contiguously in order, one per

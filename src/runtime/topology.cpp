@@ -2,131 +2,26 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
-#include <thread>
-
-#ifdef __linux__
-#include <sched.h>
-#endif
+#include <string>
 
 namespace lanecert {
 
-namespace {
-
-/// Nodes are probed by id rather than by directory listing: the kernel
-/// numbers online nodes densely from 0 in practice, and a fixed probe
-/// ceiling keeps detection allocation-light and directory-API-free.
-constexpr int kMaxProbedNodes = 256;
-
-bool readFile(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
-
-}  // namespace
-
-std::vector<int> parseCpuList(std::string_view text) {
-  std::vector<int> cpus;
-  std::size_t i = 0;
-  const auto skipSpace = [&] {
-    while (i < text.size() &&
-           (text[i] == ' ' || text[i] == '\t' || text[i] == '\n' ||
-            text[i] == '\r')) {
-      ++i;
-    }
-  };
-  const auto parseInt = [&](int& out) {
-    skipSpace();
-    if (i >= text.size() || text[i] < '0' || text[i] > '9') return false;
-    long v = 0;
-    while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
-      v = v * 10 + (text[i] - '0');
-      if (v > 1 << 20) return false;  // implausible CPU id: treat as garbage
-      ++i;
-    }
-    out = static_cast<int>(v);
-    return true;
-  };
-  while (true) {
-    int lo = 0;
-    if (!parseInt(lo)) break;
-    int hi = lo;
-    skipSpace();
-    if (i < text.size() && text[i] == '-') {
-      ++i;
-      if (!parseInt(hi) || hi < lo) break;
-    }
-    for (int c = lo; c <= hi; ++c) cpus.push_back(c);
-    skipSpace();
-    if (i >= text.size() || text[i] != ',') break;
-    ++i;
-  }
-  std::sort(cpus.begin(), cpus.end());
-  cpus.erase(std::unique(cpus.begin(), cpus.end()), cpus.end());
-  return cpus;
-}
-
-NumaTopology NumaTopology::singleNode() {
-  NumaNode node;
-  node.id = 0;
-  const unsigned hw = std::thread::hardware_concurrency();
-  node.cpus.reserve(hw);
-  for (unsigned c = 0; c < hw; ++c) node.cpus.push_back(static_cast<int>(c));
-  return NumaTopology({std::move(node)});
-}
-
-NumaTopology NumaTopology::forTesting(std::vector<NumaNode> nodes) {
-  if (nodes.empty()) return singleNode();
-  return NumaTopology(std::move(nodes));
-}
-
-NumaTopology NumaTopology::fromSysfs(const std::string& nodeDir) {
-  std::vector<NumaNode> nodes;
-  for (int id = 0; id < kMaxProbedNodes; ++id) {
-    std::string text;
-    if (!readFile(nodeDir + "/node" + std::to_string(id) + "/cpulist",
-                  text)) {
-      // Online nodes are numbered densely; the first gap ends the probe.
-      break;
-    }
-    NumaNode node;
-    node.id = id;
-    node.cpus = parseCpuList(text);
-    if (!node.cpus.empty()) nodes.push_back(std::move(node));
-  }
-  if (nodes.empty()) return singleNode();
-  return NumaTopology(std::move(nodes));
-}
-
 NumaTopology NumaTopology::detect() {
-  return fromSysfs("/sys/devices/system/node");
-}
-
-bool pinThreadToNode(const NumaTopology& topo, std::size_t node) {
-#ifdef __linux__
-  if (node >= topo.nodeCount()) return false;
-  const std::vector<int>& cpus = topo.nodes()[node].cpus;
-  if (cpus.empty()) return false;
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  bool any = false;
-  for (int c : cpus) {
-    if (c >= 0 && c < CPU_SETSIZE) {
-      CPU_SET(c, &mask);
-      any = true;
-    }
+  // Nodes are probed by id rather than by directory listing: the kernel
+  // numbers online nodes densely from 0, so the first gap ends the probe,
+  // and a fixed ceiling keeps detection directory-API-free.
+  constexpr int kMaxProbedNodes = 256;
+  std::size_t nodes = 0;
+  for (int id = 0; id < kMaxProbedNodes; ++id) {
+    std::ifstream in("/sys/devices/system/node/node" + std::to_string(id) +
+                     "/cpulist");
+    if (!in) break;
+    std::string cpus;
+    std::getline(in, cpus);
+    // Memory-only nodes list no CPUs.
+    if (cpus.find_first_of("0123456789") != std::string::npos) ++nodes;
   }
-  if (!any) return false;
-  return sched_setaffinity(0, sizeof(mask), &mask) == 0;
-#else
-  (void)topo;
-  (void)node;
-  return false;
-#endif
+  return NumaTopology(std::max<std::size_t>(nodes, 1));
 }
 
 }  // namespace lanecert

@@ -1,87 +1,26 @@
 #pragma once
-// Hardware topology awareness for the threading seam.
-//
-// The deterministic executor makes shard CONTENT independent of placement
-// (contiguous ordered shards, dynamic claiming), so topology can only ever
-// be a performance lever here, never a correctness one.  This header keeps
-// the lever explicit and testable:
-//
-//  * NumaTopology — the machine's NUMA nodes and their CPU lists, detected
-//    from sysfs (/sys/devices/system/node/node*/cpulist).  Detection never
-//    fails: anything unreadable (non-Linux, sandboxed sysfs, single-socket
-//    boxes) degrades to ONE node holding every CPU, which downstream code
-//    treats as "topology-blind" and skips all placement work.  No libnuma —
-//    parsing two sysfs files is the whole dependency.
-//  * pinThreadToNode — best-effort sched_setaffinity of the calling thread
-//    onto one node's CPUs.  Advisory: a false return leaves the thread
-//    where it was and callers proceed identically.
-//
-// Placement policy (used by WorkerPool pinning and the VerifySession label
-// replicas) is deliberately deterministic in the inputs alone:
-// nodeOfShard(s) = s % nodeCount, matching how ParallelExecutor's shard
-// indices map onto worker threads in steady state.  Tests inject synthetic
-// topologies through forTesting() — the single-node container CI runs on
-// exercises the fallback path for real.
+// The machine's NUMA node count, for reports that record where a
+// measurement was taken.  Nothing in the library places threads or memory
+// by node: shard content never depends on placement, and the deterministic
+// executor runs the same on every topology.
 
 #include <cstddef>
-#include <string>
-#include <string_view>
-#include <vector>
 
 namespace lanecert {
 
-/// One NUMA node: its sysfs id and the CPUs it owns.
-struct NumaNode {
-  int id = 0;
-  std::vector<int> cpus;  ///< ascending, as listed by the kernel
-};
-
 class NumaTopology {
  public:
-  /// Default: the topology-blind singleNode() — one node owning every CPU
-  /// the OS reports.  multiNode() is false, so pinning and replica
-  /// mirroring are skipped.  Use detect() for the real machine.
-  NumaTopology() : NumaTopology(singleNode()) {}
-
-  /// Reads /sys/devices/system/node; falls back to singleNode() when the
-  /// tree is unreadable or lists fewer than one node.  Never throws.
+  /// Counts the nodes listed under /sys/devices/system/node that own at
+  /// least one CPU; one node when that tree is unreadable (non-Linux,
+  /// sandboxed sysfs).  Never throws.
   [[nodiscard]] static NumaTopology detect();
-  /// detect() against an alternate sysfs root (tests point this at a
-  /// fixture directory; production uses detect()).
-  [[nodiscard]] static NumaTopology fromSysfs(const std::string& nodeDir);
-  /// One node covering every CPU the OS reports.
-  [[nodiscard]] static NumaTopology singleNode();
-  /// Synthetic topology for tests (e.g. force two nodes on a one-node box).
-  [[nodiscard]] static NumaTopology forTesting(std::vector<NumaNode> nodes);
 
-  [[nodiscard]] std::size_t nodeCount() const { return nodes_.size(); }
-  /// True when placement work can pay off at all; single-node machines
-  /// skip replica mirroring and pinning entirely.
-  [[nodiscard]] bool multiNode() const { return nodes_.size() > 1; }
-  [[nodiscard]] const std::vector<NumaNode>& nodes() const { return nodes_; }
-
-  /// Deterministic shard/worker -> node placement: round-robin by index.
-  /// Pure function of (shard, nodeCount) so replica selection is identical
-  /// across runs and thread counts.
-  [[nodiscard]] std::size_t nodeOfShard(std::size_t shard) const {
-    return nodes_.empty() ? 0 : shard % nodes_.size();
-  }
+  [[nodiscard]] std::size_t nodeCount() const { return nodeCount_; }
 
  private:
-  explicit NumaTopology(std::vector<NumaNode> nodes)
-      : nodes_(std::move(nodes)) {}
+  explicit NumaTopology(std::size_t nodeCount) : nodeCount_(nodeCount) {}
 
-  std::vector<NumaNode> nodes_;
+  std::size_t nodeCount_;
 };
-
-/// Parses the kernel's cpulist format ("0-3,8,10-11") into ascending CPU
-/// ids.  Malformed input yields the CPUs parsed so far (detection must not
-/// throw); whitespace and a trailing newline are tolerated.
-[[nodiscard]] std::vector<int> parseCpuList(std::string_view text);
-
-/// Best-effort: pins the CALLING thread to `node`'s CPUs.  Returns false
-/// (and changes nothing) off Linux, for an out-of-range node, for a node
-/// with no CPUs, or when sched_setaffinity rejects the mask.
-bool pinThreadToNode(const NumaTopology& topo, std::size_t node);
 
 }  // namespace lanecert

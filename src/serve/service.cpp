@@ -14,9 +14,7 @@ namespace lanecert::serve {
 
 LaneCertService::LaneCertService(ServiceOptions options)
     : options_(options),
-      topo_(options.numaAware ? NumaTopology::detect()
-                              : NumaTopology::singleNode()),
-      pool_(std::max(1, resolveThreadCount(options.numThreads)), &topo_),
+      pool_(std::max(1, resolveThreadCount(options.numThreads))),
       snapshots_(options.snapshotDir.empty()
                      ? nullptr
                      : std::make_unique<snapshot::SnapshotStore>(
@@ -127,28 +125,12 @@ CoreProveResult LaneCertService::runProve(const ProveJob& job) {
     return proveCore(job.graph, job.ids, *job.property, rep, 1);
   }
   ParallelExecutor exec(pool_);
-  if (!options_.enablePlanCache) {
-    if (auto snap = loadSnapshot(job.graph, rep)) {
-      return proveCore(job.graph, job.ids, *job.property, *snap, exec);
-    }
-    bump(&ServiceStats::planBuilds);
-    FaultInjector::fire(FaultSite::kPlanBuild);
-    if (!snapshots_) {
-      return proveCorePipelined(job.graph, job.ids, *job.property, rep, exec);
-    }
-    return proveCorePipelined(
-        job.graph, job.ids, *job.property, rep, exec,
-        [this, &job, rep](const std::shared_ptr<const ProvePlan>& built) {
-          snapshots_->persistAsync(snapshot::planSnapshotKey(job.graph, rep),
-                                   built);
-        });
-  }
-
-  const std::string key = planKey(job.graph, rep);
+  const std::string key =
+      options_.enablePlanCache ? planKey(job.graph, rep) : std::string{};
   std::shared_ptr<const ProvePlan> plan;
   std::shared_future<std::shared_ptr<const ProvePlan>> inFlight;
   std::shared_ptr<std::promise<std::shared_ptr<const ProvePlan>>> promise;
-  {
+  if (options_.enablePlanCache) {
     std::lock_guard<std::mutex> lock(planMu_);
     const auto it = plans_.find(key);
     if (it != plans_.end()) {
@@ -169,49 +151,34 @@ CoreProveResult LaneCertService::runProve(const ProveJob& job) {
     return proveCore(job.graph, job.ids, *job.property, *plan, exec);
   }
   if (inFlight.valid()) {
-    // Coalesce onto the running head build.  The future resolves at HEAD
-    // completion (the builder keeps running its waves), and the builder is
-    // an admitted job that always makes progress even when every worker is
-    // blocked here — its forShards degrade to caller-executed shards — so
-    // this wait cannot deadlock.  A failed build rethrows the builder's
-    // error into every coalesced job; retries start a fresh build.
+    // Coalesce onto the running plan build.  The builder is an admitted job
+    // that always makes progress even when every worker is blocked here —
+    // its forShards degrade to caller-executed shards — so this wait cannot
+    // deadlock.  A failed build rethrows the builder's error into every
+    // coalesced job; retries start a fresh build.
     bump(&ServiceStats::planBuildsCoalesced);
     plan = inFlight.get();
     return proveCore(job.graph, job.ids, *job.property, *plan, exec);
   }
-  // Builder role: answer from the snapshot store when a valid on-disk plan
-  // exists (warm start: the whole head — including the interval
-  // decomposition — is skipped), otherwise run the pipelined head;
-  // coalesced waiters get the plan through the promise either way.
+  // Builder role (or no plan cache): answer from the snapshot store when a
+  // valid on-disk plan exists (warm start: the whole plan stage — including
+  // the interval decomposition — is skipped), otherwise build it.
+  // Coalesced waiters get the plan through the promise either way, before
+  // this job's own waves start.
   if (auto snap = loadSnapshot(job.graph, rep)) {
-    publishPlan(key, promise, snap);
+    if (promise) publishPlan(key, promise, snap);
     return proveCore(job.graph, job.ids, *job.property, *snap, exec);
   }
   bump(&ServiceStats::planBuilds);
-  bool published = false;
   try {
     // Fired INSIDE the try: a fault here follows the failed-build path, so
     // coalesced waiters see the error and a retry starts a fresh build.
     FaultInjector::fire(FaultSite::kPlanBuild);
-    return proveCorePipelined(
-        job.graph, job.ids, *job.property, rep, exec,
-        [this, &key, &promise, &published, &job,
-         rep](const std::shared_ptr<const ProvePlan>& built) {
-          publishPlan(key, promise, built);
-          published = true;
-          // Write-behind: encode + write happen on the store's own writer
-          // thread, off the serving path.
-          if (snapshots_) {
-            snapshots_->persistAsync(
-                snapshot::planSnapshotKey(job.graph, rep), built);
-          }
-        });
+    plan = std::make_shared<const ProvePlan>(
+        buildProvePlan(job.graph, rep, &exec));
+    if (promise) publishPlan(key, promise, plan);
   } catch (...) {
-    // Clean up ONLY when the head build itself failed.  After publishPlan
-    // the promise is satisfied and the in-flight slot is gone — a same-key
-    // entry found then would belong to a NEWER build (cache-evicted plan,
-    // fresh miss) and must not be torn down by this job's wave error.
-    if (!published) {
+    if (promise) {
       {
         std::lock_guard<std::mutex> lock(planMu_);
         planInFlight_.erase(key);
@@ -220,6 +187,12 @@ CoreProveResult LaneCertService::runProve(const ProveJob& job) {
     }
     throw;
   }
+  // Write-behind: encode + write happen on the store's own writer thread,
+  // off the serving path.
+  if (snapshots_) {
+    snapshots_->persistAsync(snapshot::planSnapshotKey(job.graph, rep), plan);
+  }
+  return proveCore(job.graph, job.ids, *job.property, *plan, exec);
 }
 
 SimulationResult LaneCertService::runVerify(const VerifyJob& job) {
@@ -371,10 +344,6 @@ std::uint64_t LaneCertService::openVerifySession(VerifyJob job) {
   entry->session = std::make_unique<VerifySession>(
       std::move(job.graph), std::move(job.ids), *job.labels,
       std::move(job.property), job.params);
-  // Hand every session the service's detected topology (or the blind
-  // single node when numaAware is off) so sessions never re-read sysfs and
-  // all place replicas identically.
-  entry->session->setTopology(topo_);
   std::uint64_t id = 0;
   {
     std::lock_guard<std::mutex> lock(sessionsMu_);

@@ -20,11 +20,10 @@
 //    representation, lane plan, construction sequence, hierarchy) keyed by
 //    exact graph + supplied-representation bytes; one graph served under
 //    many properties or id assignments plans once.  Cache MISSES coalesce
-//    too: the first job runs the PIPELINED head (hierarchy streaming into
-//    its waves) and publishes the plan the moment the head completes, so a
-//    concurrent miss storm on one graph performs exactly one head build
-//    and the waiters start their waves while the builder's are still
-//    running;
+//    too: the first job builds the plan and publishes it before starting
+//    its own waves, so a concurrent miss storm on one graph performs
+//    exactly one plan build and every waiter's waves run alongside the
+//    builder's;
 //  * result cache + request coalescing — identical requests (exact content
 //    key, never hash-only) share one computation and one result, whether
 //    they arrive concurrently (coalesced) or after completion (cache hit).
@@ -75,7 +74,6 @@
 #include "core/verify_session.hpp"
 #include "pls/scheme.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/topology.hpp"
 #include "serve/batch_scheduler.hpp"
 #include "serve/errors.hpp"
 #include "serve/job.hpp"
@@ -97,13 +95,6 @@ struct ServiceOptions {
   bool enableResultCache = true;
   std::size_t maxCachedPlans = 16;
   std::size_t maxCachedResults = 64;
-  /// Topology awareness: detect the machine's NUMA layout at construction,
-  /// pin pool workers round-robin across nodes, and hand the topology to
-  /// every verification session (which mirrors its label plane per node —
-  /// see runtime/numa_mirror.hpp).  Single-node machines make all of it a
-  /// no-op; results are bit-identical either way, so the switch exists for
-  /// A/B measurement, not safety.
-  bool numaAware = true;
   /// Admission control: when > 0 and the scheduler backlog (admitted, not
   /// yet started jobs) has reached this depth, submit* throws RejectedError
   /// synchronously instead of queueing — with a retry-after hint scaled by
@@ -132,12 +123,12 @@ struct ServiceStats {
   std::uint64_t distWorkerRestarts = 0;
   std::uint64_t planCacheHits = 0;
   std::uint64_t resultCacheHits = 0;  ///< includes coalesced in-flight hits
-  /// Prover head builds actually RUN (pipelined, on a cache miss).  A
-  /// cache-miss storm on one graph bumps this exactly once.
+  /// Prover plan builds actually RUN (on a cache miss).  A cache-miss
+  /// storm on one graph bumps this exactly once.
   std::uint64_t planBuilds = 0;
-  /// Cache-miss jobs that joined an IN-FLIGHT head build instead of
-  /// running their own (they receive the plan the moment the builder's
-  /// head completes, before its waves finish).
+  /// Cache-miss jobs that joined an IN-FLIGHT plan build instead of
+  /// running their own (they receive the plan before the builder's waves
+  /// start).
   std::uint64_t planBuildsCoalesced = 0;
   /// Cancelled requests: one per discarded prove/verify job, one per
   /// reverify batch failed by a discarded session driver.
@@ -160,8 +151,7 @@ struct ServiceStats {
   /// Per-thread read-memo hits: validations skipped without touching the
   /// striped locks at all.
   std::uint64_t sweepCacheMemoHits = 0;
-  /// Stripe-lock probes that found the lock held (the contention the read
-  /// memo exists to avoid).
+  /// Stripe-lock probes that found the lock held.
   std::uint64_t sweepCacheStripeContention = 0;
   /// Plan snapshot store (zero unless ServiceOptions::snapshotDir is set):
   /// plan-cache misses answered from a validated on-disk snapshot...
@@ -294,7 +284,7 @@ class LaneCertService {
   /// snapshotHits/snapshotMisses/snapshotLoadMs.
   [[nodiscard]] std::shared_ptr<const ProvePlan> loadSnapshot(
       const Graph& g, const IntervalRepresentation* rep);
-  /// Completes an in-flight head build: stores the plan in the completed
+  /// Completes an in-flight plan build: stores the plan in the completed
   /// cache (with eviction), drops the in-flight entry, and wakes waiters.
   void publishPlan(const std::string& key,
                    const std::shared_ptr<std::promise<
@@ -318,9 +308,6 @@ class LaneCertService {
   void admitOrReject();
 
   const ServiceOptions options_;
-  /// Detected once at construction (numaAware only); declared before the
-  /// pool so worker pinning can read it during pool construction.
-  const NumaTopology topo_;
   WorkerPool pool_;
   /// Null unless options_.snapshotDir is set.  Owns its own writer thread
   /// (never the service pool); declared before sched_ so in-flight jobs can
@@ -330,9 +317,9 @@ class LaneCertService {
   std::mutex planMu_;
   std::unordered_map<std::string, std::shared_ptr<const ProvePlan>> plans_;
   std::deque<std::string> planOrder_;
-  /// Head builds currently running: cache-miss storms on one graph
-  /// coalesce onto the first job's pipelined build through these futures
-  /// (fulfilled at HEAD completion, not job completion).
+  /// Plan builds currently running: cache-miss storms on one graph
+  /// coalesce onto the first job's build through these futures (fulfilled
+  /// when the plan is built, not at job completion).
   std::unordered_map<std::string,
                      std::shared_future<std::shared_ptr<const ProvePlan>>>
       planInFlight_;

@@ -16,6 +16,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "core/prover.hpp"
@@ -187,6 +188,58 @@ TEST(ServeFault, PoisonedProveFailsItsFutureOnly) {
   // Failed results are evicted, the pool survived: the retry computes.
   auto retry = service.submitProve(ProveJob{f.graph, f.ids, f.property, {}});
   EXPECT_EQ(retry.get().labels, f.expected.labels);
+}
+
+TEST(ServeFault, FailedPlanBuildFailsItsCoalescedWaiters) {
+  // The waiter side of a failed plan build: the builder is held inside the
+  // kPlanBuild hook until a second cache miss on the same graph has joined
+  // its in-flight build (a different property, so the RESULTS do not
+  // coalesce), then the build throws.  Both futures fail typed, the
+  // in-flight slot is gone, and a retry builds afresh.
+  const Fixture f = cycleFixture();
+  ServiceOptions opts;
+  opts.numThreads = 2;
+  opts.maxConcurrentJobs = 2;  // the waiter runs while the builder is held
+  LaneCertService service(opts);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool release = false;
+  {
+    FaultScope scope([&](FaultSite site) {
+      if (site != FaultSite::kPlanBuild) return;
+      std::unique_lock<std::mutex> lock(mu);
+      held = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+      throw TransientError{};
+    });
+    auto builder =
+        service.submitProve(ProveJob{f.graph, f.ids, f.property, {}});
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return held; });
+    }
+    auto waiter =
+        service.submitProve(ProveJob{f.graph, f.ids, makeForest(), {}});
+    // The coalesced counter is bumped just before the waiter blocks on the
+    // in-flight future, so from here on it can only see the build's fate.
+    while (service.stats().planBuildsCoalesced < 1) {
+      std::this_thread::sleep_for(1ms);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+    EXPECT_THROW((void)builder.get(), TransientError);
+    EXPECT_THROW((void)waiter.get(), TransientError);
+    service.drain();
+  }
+  EXPECT_EQ(service.stats().planBuilds, 1u);
+  auto retry = service.submitProve(ProveJob{f.graph, f.ids, f.property, {}});
+  EXPECT_EQ(retry.get().labels, f.expected.labels);
+  EXPECT_EQ(service.stats().planBuilds, 2u);
 }
 
 TEST(ServeFault, EverySiteFailsTyped) {

@@ -249,7 +249,6 @@ TEST(NetProtocol, CertificateStreamRoundTrips) {
 WireServerOptions testOptions() {
   WireServerOptions opts;
   opts.service.numThreads = 2;
-  opts.service.numaAware = false;
   return opts;
 }
 

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,7 +16,6 @@
 #include "graph/generators.hpp"
 #include "interval/interval.hpp"
 #include "mso/properties.hpp"
-#include "runtime/executor.hpp"
 
 namespace lanecert {
 namespace {
@@ -108,88 +106,6 @@ TEST(ProverParallel, ParallelProofVerifiesEndToEnd) {
                                        SimulationOptions{4});
   ASSERT_TRUE(run.propertyHolds);
   EXPECT_TRUE(run.sim.allAccept);
-}
-
-// --- Pipelined head (plan construction overlapped with wave execution) ---
-
-void expectPipelinedMatchesPlanned(const Graph& g, const IdAssignment& ids,
-                                   const Property& prop,
-                                   const IntervalRepresentation* rep) {
-  // Ground truth: the barriered path over a prebuilt plan, single thread.
-  const ProvePlan plan = buildProvePlan(g, rep);
-  ParallelExecutor serial(1);
-  const CoreProveResult planned = proveCore(g, ids, prop, plan, serial);
-  for (int threads : {1, 2, 4, 8}) {
-    // The pipelined driver streams hierarchy nodes into its waves and
-    // overlaps the pointer BFS — every output byte must still match.
-    ParallelExecutor exec(threads);
-    expectSameProveResult(planned,
-                          proveCorePipelined(g, ids, prop, rep, exec));
-    // The planned path itself must also be thread-invariant.
-    ParallelExecutor exec2(threads);
-    expectSameProveResult(planned, proveCore(g, ids, prop, plan, exec2));
-  }
-}
-
-TEST(ProverParallel, PipelinedBitIdenticalToPlannedProver) {
-  Rng rng(606);
-  for (int trial = 0; trial < 3; ++trial) {
-    auto bp = randomBoundedPathwidth(50 + 35 * trial, 2 + trial % 2, 0.4, rng);
-    const auto rep = IntervalRepresentation::fromPairs(bp.intervals);
-    const auto ids = IdAssignment::random(bp.graph.numVertices(),
-                                          77 + static_cast<unsigned>(trial));
-    expectPipelinedMatchesPlanned(bp.graph, ids, *makeConnectivity(), &rep);
-  }
-  // Chain-shaped hierarchies (every wave is a singleton) stress the
-  // streamed consumer's inline path; cliques stress the bridge chains.
-  const Graph path = pathGraph(70);
-  expectPipelinedMatchesPlanned(path, IdAssignment::random(70, 5),
-                                *makePathProperty(), nullptr);
-  const Graph clique = completeGraph(7);
-  expectPipelinedMatchesPlanned(clique, IdAssignment::random(7, 6),
-                                *makeConnectivity(), nullptr);
-}
-
-TEST(ProverParallel, PipelinedRejectionBitIdenticalToPlanned) {
-  const Graph g = cycleGraph(14);
-  expectPipelinedMatchesPlanned(g, IdAssignment::random(14, 8), *makeForest(),
-                                nullptr);
-}
-
-TEST(ProverParallel, PipelinedPlanHookFiresOnceWithTheFullHead) {
-  Rng rng(607);
-  auto bp = randomBoundedPathwidth(60, 2, 0.4, rng);
-  const auto rep = IntervalRepresentation::fromPairs(bp.intervals);
-  const auto ids = IdAssignment::random(60, 9);
-  ParallelExecutor exec(4);
-  int calls = 0;
-  std::shared_ptr<const ProvePlan> seen;
-  const auto r = proveCorePipelined(
-      bp.graph, ids, *makeConnectivity(), &rep, exec,
-      [&](const std::shared_ptr<const ProvePlan>& plan) {
-        ++calls;
-        seen = plan;
-      });
-  EXPECT_TRUE(r.propertyHolds);
-  ASSERT_EQ(calls, 1);
-  ASSERT_NE(seen, nullptr);
-  // The published head must be the COMPLETE plan (usable by other jobs):
-  // byte-identical prover output when replayed through the planned path.
-  ParallelExecutor exec2(2);
-  expectSameProveResult(
-      r, proveCore(bp.graph, ids, *makeConnectivity(), *seen, exec2));
-}
-
-TEST(ProverParallel, PipelinedDegenerateInputsNeedNoPlan) {
-  const Graph single(1);
-  ParallelExecutor exec(2);
-  int calls = 0;
-  const auto r = proveCorePipelined(
-      single, IdAssignment::identity(1), *makeConnectivity(), nullptr, exec,
-      [&](const std::shared_ptr<const ProvePlan>&) { ++calls; });
-  EXPECT_TRUE(r.propertyHolds);
-  EXPECT_TRUE(r.labels.empty());
-  EXPECT_EQ(calls, 0);  // no head exists for a degenerate graph
 }
 
 }  // namespace

@@ -354,16 +354,7 @@ TEST(VerifySession, SustainedEditsStayBoundedAndExact) {
   const auto verifier = makeCoreVerifier(prop);
 
   VerifySession session(g, ids, proved.labels, prop);
-  // Synthetic two-node topology forces the replica path, so replica
-  // compaction coherence is exercised too.
-  NumaNode n0, n1;
-  n0.id = 0;
-  n0.cpus = {0};
-  n1.id = 1;
-  n1.cpus = {0};
-  session.setTopology(NumaTopology::forTesting({n0, n1}));
   session.verifyAll(2);
-  ASSERT_EQ(session.labelReplicaCount(), 2u);
 
   std::vector<std::string> labels = proved.labels;
   const std::vector<EdgeId> edited = {1, 4, 7};

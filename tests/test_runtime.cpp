@@ -15,7 +15,6 @@
 
 #include "core/records.hpp"
 #include "core/scheme.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "interval/interval.hpp"
 #include "klane/hierarchy.hpp"
@@ -25,11 +24,9 @@
 #include "mso/properties.hpp"
 #include "pathwidth/pathwidth.hpp"
 #include "pls/classic.hpp"
-#include "pls/pointer.hpp"
 #include "pls/scheme.hpp"
 #include "runtime/arena.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/pipeline.hpp"
 #include "runtime/flat_map.hpp"
 #include "runtime/label_store.hpp"
 
@@ -408,107 +405,6 @@ TEST(ParallelSweep, ValidateHierarchyIdenticalAcrossThreadCounts) {
     EXPECT_EQ(validateHierarchy(r, numLanes, threads), sequential);
   }
   EXPECT_TRUE(sequential.empty());
-}
-
-// --- Pipelined stage helpers (runtime/pipeline.hpp) ---
-
-TEST(ExecutorPipeline, StageFeedDeliversEveryItemInOrder) {
-  std::vector<int> items(500);
-  for (int i = 0; i < 500; ++i) items[static_cast<std::size_t>(i)] = i;
-  StageFeed<int> feed;
-  std::thread producer([&] {
-    feed.open(items.data());
-    for (std::size_t k = 50; k <= items.size(); k += 50) feed.publish(k);
-    feed.close();
-  });
-  std::vector<int> seen;
-  std::size_t have = 0;
-  while (true) {
-    const StageFeed<int>::Progress p = feed.awaitBeyond(have);
-    for (std::size_t i = have; i < p.published; ++i) {
-      seen.push_back(feed.items()[i]);
-    }
-    have = p.published;
-    if (p.done) break;
-  }
-  producer.join();
-  EXPECT_EQ(seen, items);
-}
-
-TEST(ExecutorPipeline, StageFeedFailRethrowsInTheConsumer) {
-  StageFeed<int> feed;
-  feed.fail(std::make_exception_ptr(std::runtime_error("producer died")));
-  EXPECT_THROW((void)feed.awaitBeyond(0), std::runtime_error);
-  // Failing again keeps the FIRST error (idempotent).
-  feed.fail(std::make_exception_ptr(std::logic_error("later")));
-  EXPECT_THROW((void)feed.awaitBeyond(0), std::runtime_error);
-}
-
-TEST(ExecutorPipeline, StealableTaskRunsExactlyOnceWhenPosted) {
-  WorkerPool pool(2);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::atomic<int> runs{0};
-    auto task = std::make_shared<StealableTask>([&] { ++runs; });
-    task->postTo(pool);
-    task->join();  // may steal or may find a worker already ran it
-    EXPECT_EQ(runs.load(), 1);
-  }
-}
-
-TEST(ExecutorPipeline, StealableTaskIsStolenInlineWithNoWorkers) {
-  WorkerPool pool(0);
-  std::atomic<int> runs{0};
-  auto task = std::make_shared<StealableTask>([&] { ++runs; });
-  task->postTo(pool);  // nobody will ever drain this
-  task->join();
-  EXPECT_EQ(runs.load(), 1);
-}
-
-TEST(ExecutorPipeline, StealableTaskPropagatesTheTaskException) {
-  WorkerPool pool(1);
-  auto task = std::make_shared<StealableTask>(
-      [] { throw std::runtime_error("stage failed"); });
-  task->postTo(pool);
-  EXPECT_THROW(task->join(), std::runtime_error);
-}
-
-// --- Frontier-parallel BFS (deterministic ordered frontiers) ---
-
-void expectSameTree(const SpanningTree& a, const SpanningTree& b) {
-  EXPECT_EQ(a.root, b.root);
-  EXPECT_EQ(a.parentVertex, b.parentVertex);
-  EXPECT_EQ(a.parentEdge, b.parentEdge);
-  EXPECT_EQ(a.depth, b.depth);
-}
-
-TEST(ParallelSweepBfs, TreeBitIdenticalToSerialForEveryThreadCount) {
-  Rng rng(77);
-  std::vector<Graph> graphs;
-  graphs.push_back(randomConnected(120, 0.08, rng));
-  graphs.push_back(pathGraph(60));
-  graphs.push_back(completeGraph(9));
-  graphs.push_back(cycleGraph(31));
-  graphs.push_back(gridGraph(7, 5));
-  for (const Graph& g : graphs) {
-    for (VertexId root : {VertexId{0}, g.numVertices() - 1}) {
-      const SpanningTree serial = bfsTree(g, root);
-      for (int threads : {1, 2, 3, 8}) {
-        ParallelExecutor exec(threads);
-        expectSameTree(serial, bfsTree(g, root, exec));
-      }
-    }
-  }
-}
-
-TEST(ParallelSweepBfs, PointerRecordsBitIdenticalToSerial) {
-  Rng rng(78);
-  const Graph g = randomConnected(90, 0.1, rng);
-  const auto ids = IdAssignment::random(g.numVertices(), 5);
-  const auto serial = provePointer(g, ids, 3);
-  for (int threads : {2, 4, 8}) {
-    ParallelExecutor exec(threads);
-    EXPECT_EQ(provePointer(g, ids, 3, exec), serial);
-  }
 }
 
 }  // namespace

@@ -209,8 +209,8 @@ TEST(Serve, PlanCacheAmortizesAcrossPropertiesAndIds) {
 
 TEST(Serve, PlanCacheMissStormCoalescesToOneHeadBuild) {
   // A burst of CONCURRENT cache-miss jobs on one graph (distinct ids and
-  // properties, so nothing result-coalesces) must run exactly ONE pipelined
-  // head build: whichever job wins the in-flight slot builds, every other
+  // properties, so nothing result-coalesces) must run exactly ONE plan
+  // build: whichever job wins the in-flight slot builds, every other
   // job either joins that build (planBuildsCoalesced) or arrives after it
   // completed (planCacheHits) — timing decides the split, never the sum,
   // and never the results.

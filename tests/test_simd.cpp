@@ -1,6 +1,7 @@
 // SIMD / topology safety net for the hardware-aware verifier.
 //
-// Three layers of bit-identity, from kernels to whole sweeps:
+// Two layers of bit-identity, from kernels to whole sweeps, plus the
+// machine-facts probe:
 //
 //  1. The dispatched simd::* kernels agree with the always-compiled
 //     simd::scalar::* reference loops on every size and alignment
@@ -11,17 +12,12 @@
 //  2. Whole verification sweeps are byte-identical across thread counts
 //     {1, 2, 4, 8} and across the read-memo toggle, on honest AND
 //     corrupted labelings over a spread of graph families.
-//  3. NUMA label replicas stay coherent: a session forced onto a synthetic
-//     two-node topology produces verdicts byte-identical to the
-//     topology-blind session, before and after edit batches (replicas are
-//     re-mirrored incrementally through the same applyEdits path).
+//  3. NUMA node detection never throws and reports at least one node.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
@@ -35,7 +31,6 @@
 #include "pls/scheme.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/label_store.hpp"
-#include "runtime/numa_mirror.hpp"
 #include "runtime/topology.hpp"
 
 namespace lanecert {
@@ -239,161 +234,10 @@ TEST(SimdSweeps, ReadMemoNeverLeaksAcrossEngines) {
   EXPECT_EQ(a.sweepCacheSize(), before.entries);
 }
 
-// --- 3. Topology detection + NUMA replica coherence -----------------------
+// --- 3. Topology detection ------------------------------------------------
 
-TEST(Topology, ParseCpuList) {
-  EXPECT_EQ(parseCpuList("0-3"), (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(parseCpuList("0-2,8,10-11\n"),
-            (std::vector<int>{0, 1, 2, 8, 10, 11}));
-  EXPECT_EQ(parseCpuList(" 4 "), (std::vector<int>{4}));
-  EXPECT_EQ(parseCpuList(""), (std::vector<int>{}));
-  EXPECT_EQ(parseCpuList("garbage"), (std::vector<int>{}));
-  // Malformed tail: keep what parsed cleanly, never throw.
-  EXPECT_EQ(parseCpuList("0-1,x"), (std::vector<int>{0, 1}));
-  EXPECT_EQ(parseCpuList("3-1"), (std::vector<int>{}));
-}
-
-TEST(Topology, FromSysfsFixtureAndFallback) {
-  namespace fs = std::filesystem;
-  const fs::path root =
-      fs::path(::testing::TempDir()) / "lanecert_sysfs_nodes";
-  fs::create_directories(root / "node0");
-  fs::create_directories(root / "node1");
-  std::ofstream(root / "node0" / "cpulist") << "0-1\n";
-  std::ofstream(root / "node1" / "cpulist") << "2-3\n";
-
-  const NumaTopology topo = NumaTopology::fromSysfs(root.string());
-  ASSERT_EQ(topo.nodeCount(), 2u);
-  EXPECT_TRUE(topo.multiNode());
-  EXPECT_EQ(topo.nodes()[0].cpus, (std::vector<int>{0, 1}));
-  EXPECT_EQ(topo.nodes()[1].cpus, (std::vector<int>{2, 3}));
-  // Round-robin placement is a pure function of (shard, nodeCount).
-  EXPECT_EQ(topo.nodeOfShard(0), 0u);
-  EXPECT_EQ(topo.nodeOfShard(1), 1u);
-  EXPECT_EQ(topo.nodeOfShard(2), 0u);
-
-  // Unreadable tree: the single-node fallback, never a throw.
-  const NumaTopology fallback =
-      NumaTopology::fromSysfs((root / "missing").string());
-  EXPECT_EQ(fallback.nodeCount(), 1u);
-  EXPECT_FALSE(fallback.multiNode());
-
-  fs::remove_all(root);
-}
-
-TEST(Topology, DetectNeverThrowsAndPinIsBestEffort) {
-  const NumaTopology topo = NumaTopology::detect();
-  EXPECT_GE(topo.nodeCount(), 1u);
-  // Out-of-range node: advisory false, no side effects.
-  EXPECT_FALSE(pinThreadToNode(topo, topo.nodeCount() + 7));
-#ifdef __linux__
-  // Pinning to a real node must succeed on Linux (and is undone by the
-  // scheduler only, so pin back to every CPU via the full single-node set).
-  EXPECT_TRUE(pinThreadToNode(NumaTopology::singleNode(), 0));
-#endif
-}
-
-NumaTopology syntheticTwoNode() {
-  // Both "nodes" own CPU 0 so the single-core CI box can run pinned
-  // workers; what matters is multiNode() == true, which forces the replica
-  // path.
-  NumaNode n0;
-  n0.id = 0;
-  n0.cpus = {0};
-  NumaNode n1;
-  n1.id = 1;
-  n1.cpus = {0};
-  return NumaTopology::forTesting({n0, n1});
-}
-
-TEST(NumaMirror, ReplicasStayCoherentThroughEdits) {
-  Rng rng(41);
-  auto bp = randomBoundedPathwidth(32, 2, 0.5, rng);
-  const Graph& g = bp.graph;
-  const IdAssignment ids = IdAssignment::random(g.numVertices(), 5);
-  const auto proved = proveCore(g, ids, *makeConnectivity(), nullptr);
-
-  std::vector<std::string> labels = proved.labels;
-  LabelStore primary(labels);
-  ParallelExecutor exec(2);
-  NumaLabelMirror mirror(g, primary, /*replicas=*/2, exec);
-  ASSERT_EQ(mirror.replicaCount(), 2u);
-  for (std::size_t r = 0; r < 2; ++r) {
-    for (std::size_t e = 0; e < primary.size(); ++e) {
-      ASSERT_EQ(mirror.label(r, static_cast<EdgeId>(e)), primary.view(e));
-    }
-  }
-
-  // Mixed batch: grow one label, flip a byte of another.  Replicas converge
-  // through the same applyEdits path — dirty labels only.
-  std::vector<EdgeLabelEdit> batch;
-  batch.push_back({0, std::string(primary.view(0)) + "xyz"});
-  std::string flipped(primary.view(1));
-  flipped[0] ^= 0x01;
-  batch.push_back({1, flipped});
-  (void)primary.applyEdits(g, batch);
-  mirror.applyEdits(g, batch);
-
-  for (std::size_t r = 0; r < 2; ++r) {
-    EXPECT_EQ(mirror.version(r), primary.version());
-    for (std::size_t e = 0; e < primary.size(); ++e) {
-      EXPECT_EQ(mirror.label(r, static_cast<EdgeId>(e)), primary.view(e))
-          << "replica " << r << " edge " << e;
-    }
-  }
-}
-
-TEST(NumaMirror, SessionOnSyntheticTopologyMatchesBlindSession) {
-  Rng rng(41);
-  auto bp = randomBoundedPathwidth(40, 2, 0.5, rng);
-  const Graph& g = bp.graph;
-  const IdAssignment ids = IdAssignment::random(g.numVertices(), 5);
-  const auto proved = proveCore(g, ids, *makeConnectivity(), nullptr);
-
-  VerifySession numa(g, ids, proved.labels, makeConnectivity());
-  numa.setTopology(syntheticTwoNode());
-  VerifySession blind(g, ids, proved.labels, makeConnectivity());
-  blind.setTopology(NumaTopology::singleNode());
-
-  expectSameResult(numa.verifyAll(4), blind.verifyAll(4), "initial sweep");
-  EXPECT_EQ(numa.labelReplicaCount(), 2u);   // primary + one replica
-  EXPECT_EQ(blind.labelReplicaCount(), 1u);  // no mirror on one node
-
-  // Edit batches: corrupt a label (verdicts must change identically on
-  // both sessions), then restore it.
-  std::string corrupted(proved.labels[2]);
-  corrupted[corrupted.size() / 2] ^= 0x10;
-  for (const std::string& bytes : {corrupted, proved.labels[2]}) {
-    const std::vector<EdgeLabelEdit> batch = {{2, bytes}};
-    ParallelExecutor exec(4);
-    expectSameResult(numa.reverifyEdits(batch, exec),
-                     blind.reverifyEdits(batch, exec), "after edit");
-  }
-  // And against a fresh full sweep over the final labels.
-  const auto verifier = makeCoreVerifier(makeConnectivity());
-  const auto fresh = simulateEdgeScheme(g, ids, proved.labels, verifier,
-                                        SimulationOptions{4});
-  expectSameResult(numa.verifyAll(4), fresh, "vs fresh sweep");
-}
-
-TEST(NumaMirror, PinnedPoolSweepsMatchUnpinned) {
-  // WorkerPool pinning is placement-only: sweeps over a pinned pool return
-  // byte-identical results (on this CI box both nodes map to CPU 0, so the
-  // pin calls themselves exercise the degenerate mask path).
-  Rng rng(13);
-  auto bp = randomBoundedPathwidth(24, 2, 0.5, rng);
-  const IdAssignment ids = IdAssignment::random(bp.graph.numVertices(), 3);
-  const auto proved = proveCore(bp.graph, ids, *makeConnectivity(), nullptr);
-  const auto verifier = makeCoreVerifier(makeConnectivity());
-
-  const NumaTopology topo = syntheticTwoNode();
-  ParallelExecutor pinned(4, &topo);
-  ParallelExecutor plain(4);
-  const auto a =
-      simulateEdgeScheme(bp.graph, ids, proved.labels, verifier, pinned);
-  const auto b =
-      simulateEdgeScheme(bp.graph, ids, proved.labels, verifier, plain);
-  expectSameResult(a, b, "pinned vs plain pool");
+TEST(Topology, DetectNeverThrows) {
+  EXPECT_GE(NumaTopology::detect().nodeCount(), 1u);
 }
 
 }  // namespace

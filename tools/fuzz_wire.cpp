@@ -368,7 +368,6 @@ int main(int argc, char** argv) {
       sopts.maxFrameBytes = kFuzzMaxFrame;
       sopts.maxVertices = kFuzzMaxVertices;
       sopts.service.numThreads = 1;
-      sopts.service.numaAware = false;
       server = std::make_unique<net::WireServer>(sopts);
       server->start();
     }
