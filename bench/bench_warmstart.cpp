@@ -1,5 +1,4 @@
-// Experiment E9: warm-start persistence and the parallel interval
-// decomposition.
+// Experiment E9: warm-start persistence and the interval decomposition.
 //
 // BM_ColdStart measures what a restarted server pays on its first prove
 // over a known graph: `buildProvePlan` from scratch (greedy interval
@@ -11,10 +10,10 @@
 // labeling waves that follow are identical on both paths, which is why the
 // bench frames the comparison at the plan boundary.
 //
-// BM_IntervalRep scans thread counts over the parallelized
-// `bestIntervalRepresentation` (deterministic shard-ordered merge,
-// bit-identical to serial at every thread count — tests/test_pathwidth.cpp
-// holds that line; this bench measures what the determinism costs).
+// BM_IntervalRep sweeps n over `bestIntervalRepresentation`, the first
+// stage of BM_ColdStart: the greedy vertex separation (an incremental
+// argmin, O((n+m) log n)) plus the layout -> interval conversion.  The
+// order it must reproduce is pinned in tests/test_pathwidth.cpp.
 
 #include <benchmark/benchmark.h>
 
@@ -28,7 +27,6 @@
 #include "core/prover.hpp"
 #include "graph/generators.hpp"
 #include "pathwidth/pathwidth.hpp"
-#include "runtime/executor.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace {
@@ -85,15 +83,14 @@ BENCHMARK(BM_WarmStart)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 void BM_IntervalRep(benchmark::State& state) {
-  const Graph g = benchGraph(4096);
-  ParallelExecutor exec(static_cast<int>(state.range(0)));
+  const Graph g = benchGraph(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    IntervalRepresentation rep = bestIntervalRepresentation(g, 18, &exec);
+    IntervalRepresentation rep = bestIntervalRepresentation(g);
     benchmark::DoNotOptimize(rep);
   }
-  state.counters["threads"] = static_cast<double>(exec.numThreads());
+  state.counters["n"] = static_cast<double>(g.numVertices());
 }
-BENCHMARK(BM_IntervalRep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(BM_IntervalRep)->Arg(4096)->Arg(16384)->Arg(65536)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

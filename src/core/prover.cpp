@@ -516,14 +516,14 @@ CoreProveResult proveBody(const Graph& g, const IdAssignment& ids,
 }  // namespace
 
 ProvePlan buildProvePlan(const Graph& g, const IntervalRepresentation* rep,
-                         ParallelExecutor* exec) {
+                         ParallelExecutor* /*unused*/) {
   // Checked up front: the lane plan would reject a disconnected graph too,
   // but only after the whole interval decomposition has run.
   if (!isConnected(g)) {
     throw std::invalid_argument("buildProvePlan: graph must be connected");
   }
   IntervalRepresentation r =
-      rep != nullptr ? *rep : bestIntervalRepresentation(g, 18, exec);
+      rep != nullptr ? *rep : bestIntervalRepresentation(g, 18);
   LanePlan plan = buildLanePlan(g, r);
   ConstructionSequence seq = buildConstruction(g, r, plan.lanes);
   HierarchyResult hier = buildHierarchy(seq);
@@ -545,7 +545,7 @@ CoreProveResult proveCore(const Graph& g, const IdAssignment& ids,
     return out;
   }
   ParallelExecutor exec(numThreads);
-  const ProvePlan plan = buildProvePlan(g, rep, &exec);
+  const ProvePlan plan = buildProvePlan(g, rep);
   return proveCore(g, ids, prop, plan, exec);
 }
 

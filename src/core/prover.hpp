@@ -59,10 +59,10 @@ struct ProvePlan {
 
 /// Builds the plan stage.  `rep` may supply a known interval representation
 /// (e.g. from a generator); otherwise one is computed (exact for small
-/// graphs, greedy otherwise — a non-null `exec` parallelizes the greedy
-/// candidate scans with output identical to serial).  Throws
-/// std::invalid_argument for a disconnected graph, before any
-/// decomposition work runs.
+/// graphs, greedy otherwise; see bestIntervalRepresentation).  `exec` is
+/// unused: every plan stage is serial.  The parameter stays only so that
+/// existing callers keep compiling.  Throws std::invalid_argument for a
+/// disconnected graph, before any decomposition work runs.
 [[nodiscard]] ProvePlan buildProvePlan(
     const Graph& g, const IntervalRepresentation* rep = nullptr,
     ParallelExecutor* exec = nullptr);

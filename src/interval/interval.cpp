@@ -1,7 +1,6 @@
 #include "interval/interval.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,18 +15,27 @@ IntervalRepresentation IntervalRepresentation::fromPairs(
 }
 
 int IntervalRepresentation::width() const {
-  // Sweep over +1 at l, -1 at r+1 events.
-  std::map<int, int> delta;
+  // The coverage peaks at some left endpoint p, where it is
+  // #{l <= p} - #{r < p}: an interval that ends before p started before it.
+  // Sorting both endpoint lists avoids a tree node per endpoint.
+  std::vector<int> lefts;
+  std::vector<int> rights;
+  lefts.reserve(intervals_.size());
+  rights.reserve(intervals_.size());
   for (const Interval& iv : intervals_) {
     if (iv.l > iv.r) return -1;  // invalid interval; callers treat as error
-    ++delta[iv.l];
-    --delta[iv.r + 1];
+    lefts.push_back(iv.l);
+    rights.push_back(iv.r);
   }
-  int cur = 0;
+  std::sort(lefts.begin(), lefts.end());
+  std::sort(rights.begin(), rights.end());
   int best = 0;
-  for (const auto& [pos, d] : delta) {
-    cur += d;
-    best = std::max(best, cur);
+  std::size_t ended = 0;
+  for (std::size_t i = 0; i < lefts.size(); ++i) {
+    // The interval starting at lefts[i] ends at or after it, so `ended`
+    // stays below the count.
+    while (rights[ended] < lefts[i]) ++ended;
+    best = std::max(best, static_cast<int>(i + 1 - ended));
   }
   return best;
 }

@@ -7,21 +7,41 @@
 namespace lanecert {
 
 VertexId TerminalMap::at(int lane) const {
-  for (const auto& [l, v] : entries_) {
+  for (const auto& [l, v] : entries()) {
     if (l == lane) return v;
   }
   return kNoVertex;
 }
 
 void TerminalMap::set(int lane, VertexId v) {
-  for (auto& [l, w] : entries_) {
+  std::span<Entry> all = heap_.empty()
+                             ? std::span<Entry>(inline_.data(), inlineSize_)
+                             : std::span<Entry>(heap_);
+  for (auto& [l, w] : all) {
     if (l == lane) {
       w = v;
       return;
     }
   }
-  entries_.emplace_back(lane, v);
-  std::sort(entries_.begin(), entries_.end());
+  if (heap_.empty() && inlineSize_ < kInline) {
+    inline_[inlineSize_++] = Entry{lane, v};
+    std::sort(inline_.begin(), inline_.begin() + inlineSize_);
+    return;
+  }
+  if (heap_.empty()) heap_.assign(inline_.begin(), inline_.end());
+  heap_.emplace_back(lane, v);
+  std::sort(heap_.begin(), heap_.end());
+}
+
+TerminalMap TerminalMap::fromSortedEntries(std::vector<Entry> entries) {
+  TerminalMap t;
+  if (entries.size() <= kInline) {
+    std::copy(entries.begin(), entries.end(), t.inline_.begin());
+    t.inlineSize_ = entries.size();
+  } else {
+    t.heap_ = std::move(entries);
+  }
+  return t;
 }
 
 int Hierarchy::depth() const {

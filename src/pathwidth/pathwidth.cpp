@@ -3,19 +3,15 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <stdexcept>
 #include <utility>
-
-#include "runtime/executor.hpp"
 
 namespace lanecert {
 
 namespace {
-
-/// Below this vertex count a parallel candidate scan costs more in shard
-/// wake-ups than the scan itself; the greedy loop stays serial.
-constexpr int kParallelGreedyMinVertices = 256;
 
 /// Neighbor bitmasks for graphs with <= 32 vertices.
 std::vector<std::uint32_t> neighborMasks(const Graph& g) {
@@ -89,85 +85,69 @@ std::optional<Layout> exactVertexSeparation(const Graph& g, int maxN) {
   return out;
 }
 
-Layout greedyVertexSeparation(const Graph& g, ParallelExecutor* exec) {
-  const int n = g.numVertices();
-  Layout out;
-  std::vector<char> inPrefix(static_cast<std::size_t>(n), 0);
+Layout greedyVertexSeparation(const Graph& g) {
+  const auto n = static_cast<std::size_t>(g.numVertices());
+  auto at = [](VertexId v) { return static_cast<std::size_t>(v); };
+  std::vector<char> inPrefix(n, 0);
   // outNbrs[x]: neighbors of x outside the prefix (defined for all x).
-  std::vector<int> outNbrs(static_cast<std::size_t>(n), 0);
-  for (VertexId v = 0; v < n; ++v) outNbrs[static_cast<std::size_t>(v)] = g.degree(v);
-  int boundary = 0;  // prefix vertices with outNbrs > 0
-
-  // Adding v changes the boundary by: +1 if v keeps outside neighbors,
-  // -1 for each boundary neighbor whose last outside neighbor was v.
-  auto deltaOfAdding = [&](VertexId v) {
-    int delta = outNbrs[static_cast<std::size_t>(v)] > 0 ? 1 : 0;
-    for (const Arc& a : g.arcs(v)) {
-      if (inPrefix[static_cast<std::size_t>(a.to)] &&
-          outNbrs[static_cast<std::size_t>(a.to)] == 1) {
-        --delta;
-      }
-    }
-    return delta;
-  };
-
-  // First minimum over [lo, hi): strict `<` keeps the smallest id on ties,
-  // matching the serial scan exactly on any subrange.
-  auto scanRange = [&](VertexId lo, VertexId hi) {
-    VertexId best = kNoVertex;
-    int bestCost = std::numeric_limits<int>::max();
-    for (VertexId v = lo; v < hi; ++v) {
-      if (inPrefix[static_cast<std::size_t>(v)]) continue;
-      const int cost = boundary + deltaOfAdding(v);
-      if (cost < bestCost) {
-        bestCost = cost;
-        best = v;
-      }
-    }
-    return std::pair<int, VertexId>{bestCost, best};
-  };
-
-  const bool parallel = exec != nullptr && exec->numThreads() > 1 &&
-                        n >= kParallelGreedyMinVertices;
-  std::vector<std::pair<int, VertexId>> shardBest;
-  if (parallel) {
-    shardBest.resize(static_cast<std::size_t>(exec->numThreads()));
+  std::vector<int> outNbrs(n);
+  // For v outside the prefix: lastOut[v] counts the prefix neighbors whose
+  // only outside neighbor is v, and delta[v] = [outNbrs[v] > 0] - lastOut[v]
+  // is how much appending v would change the boundary.  Every candidate's
+  // cost is the same boundary plus its delta, so the first minimum of the
+  // cost over ascending ids is the smallest (delta, id) pair.  A delta only
+  // ever falls: outNbrs[v] only shrinks, and lastOut[v] loses a prefix
+  // vertex only when that vertex's last outside neighbor, v itself, is
+  // placed.
+  std::vector<int> lastOut(n, 0);
+  std::vector<int> delta(n);
+  // Lazy min-heap: a vertex's pair is pushed whenever its delta falls, so a
+  // popped pair is stale if its vertex is placed or its delta has moved on.
+  using Candidate = std::pair<int, VertexId>;
+  std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>> heap;
+  for (VertexId v = 0; v < g.numVertices(); ++v) {
+    outNbrs[at(v)] = g.degree(v);
+    delta[at(v)] = outNbrs[at(v)] > 0 ? 1 : 0;
+    heap.emplace(delta[at(v)], v);
   }
 
-  for (int step = 0; step < n; ++step) {
-    VertexId best = kNoVertex;
-    int bestCost = std::numeric_limits<int>::max();
-    if (parallel) {
-      // Shards cover [0, n) contiguously in ascending vertex order; merging
-      // shard-local first-minima in shard order with strict `<` reproduces
-      // the serial first-minimum (smallest id among minimum-cost vertices).
-      exec->forShards(static_cast<std::size_t>(n),
-                      [&](std::size_t shard, std::size_t begin,
-                          std::size_t end) {
-                        shardBest[shard] =
-                            scanRange(static_cast<VertexId>(begin),
-                                      static_cast<VertexId>(end));
-                      });
-      for (const auto& [cost, v] : shardBest) {
-        if (v != kNoVertex && cost < bestCost) {
-          bestCost = cost;
-          best = v;
-        }
-      }
-    } else {
-      std::tie(bestCost, best) = scanRange(0, n);
+  auto refresh = [&](VertexId v) {
+    const int d = (outNbrs[at(v)] > 0 ? 1 : 0) - lastOut[at(v)];
+    if (d != delta[at(v)]) {
+      delta[at(v)] = d;
+      heap.emplace(d, v);
     }
-    inPrefix[static_cast<std::size_t>(best)] = 1;
+  };
+  // Prefix vertex `a` has exactly one outside neighbor left: credit it.
+  auto creditLastOut = [&](VertexId a) {
+    for (const Arc& arc : g.arcs(a)) {
+      if (!inPrefix[at(arc.to)]) {
+        ++lastOut[at(arc.to)];
+        refresh(arc.to);
+        return;
+      }
+    }
+  };
+
+  Layout out;
+  out.order.reserve(n);
+  while (out.order.size() < n) {
+    const auto [d, best] = heap.top();
+    heap.pop();
+    if (inPrefix[at(best)] || delta[at(best)] != d) continue;
+    inPrefix[at(best)] = 1;
     // `best` is no longer outside: every neighbor loses one outside
-    // neighbor; prefix neighbors dropping to zero leave the boundary.
+    // neighbor.  A prefix neighbor falling from 1 to 0 had `best` as its
+    // last outside neighbor, so no credit is ever withdrawn.
     for (const Arc& a : g.arcs(best)) {
-      --outNbrs[static_cast<std::size_t>(a.to)];
-      if (inPrefix[static_cast<std::size_t>(a.to)] &&
-          outNbrs[static_cast<std::size_t>(a.to)] == 0) {
-        --boundary;
+      --outNbrs[at(a.to)];
+      if (!inPrefix[at(a.to)]) {
+        refresh(a.to);
+      } else if (outNbrs[at(a.to)] == 1) {
+        creditLastOut(a.to);
       }
     }
-    if (outNbrs[static_cast<std::size_t>(best)] > 0) ++boundary;
+    if (outNbrs[at(best)] == 1) creditLastOut(best);
     out.order.push_back(best);
   }
   out.cost = layoutCost(g, out.order);
@@ -178,10 +158,6 @@ int layoutCost(const Graph& g, const std::vector<VertexId>& order) {
   const auto n = static_cast<std::size_t>(g.numVertices());
   if (order.size() != n) {
     throw std::invalid_argument("layoutCost: order must be a permutation");
-  }
-  std::vector<int> pos(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pos[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
   }
   int best = 0;
   std::vector<int> outNbrs(n, 0);
@@ -241,10 +217,10 @@ std::optional<int> exactPathwidth(const Graph& g, int maxN) {
   return layout->cost;
 }
 
-IntervalRepresentation bestIntervalRepresentation(const Graph& g, int exactMaxN,
-                                                  ParallelExecutor* exec) {
+IntervalRepresentation bestIntervalRepresentation(
+    const Graph& g, int exactMaxN, ParallelExecutor* /*unused*/) {
   auto layout = exactVertexSeparation(g, exactMaxN);
-  if (!layout) layout = greedyVertexSeparation(g, exec);
+  if (!layout) layout = greedyVertexSeparation(g);
   return layoutToIntervalRep(g, layout->order);
 }
 

@@ -8,7 +8,7 @@
 // width vsn+1 (and hence a path decomposition of width vsn).
 //
 // - `exactVertexSeparation`: exponential subset DP, exact for n <= ~22.
-// - `greedyVertexSeparation`: O(n^2 deg) heuristic for larger graphs.
+// - `greedyVertexSeparation`: O((n+m) log n) heuristic for larger graphs.
 //
 // (The calibration notes mention PACE pathwidth solvers; those are
 // competition-scale branch-and-bound engines.  The subset DP is exact and
@@ -39,14 +39,11 @@ struct Layout {
 /// Greedy heuristic: repeatedly append the vertex minimizing the boundary
 /// of the extended prefix (ties: smaller id).  Upper-bounds pathwidth.
 ///
-/// With a non-null `exec`, each step's candidate argmin runs as a
-/// deterministic shard scan over the executor: shard-local first-minima are
-/// merged in ascending shard order with a strict `<`, which picks exactly
-/// the smallest-id global minimum — the same vertex the serial loop picks —
-/// so the ordering is bit-identical for every thread count.  Small graphs
-/// stay serial (shard wake-ups would dominate the O(n deg) scan).
-[[nodiscard]] Layout greedyVertexSeparation(const Graph& g,
-                                            ParallelExecutor* exec = nullptr);
+/// The argmin is incremental: each vertex's boundary delta sits in a lazy
+/// min-heap keyed (delta, id), and placing a vertex re-scores only vertices
+/// within distance two of it.  That is O((n+m) log n) in all, and it picks
+/// exactly the vertex a full first-minimum scan over ascending ids picks.
+[[nodiscard]] Layout greedyVertexSeparation(const Graph& g);
 
 /// The vertex-separation cost of a given ordering (max boundary size).
 [[nodiscard]] int layoutCost(const Graph& g, const std::vector<VertexId>& order);
@@ -62,8 +59,8 @@ struct Layout {
 
 /// Best interval representation we can compute: exact for small graphs,
 /// greedy otherwise.  Always valid for g; width <= returned rep's width().
-/// `exec` (optional) parallelizes the greedy path — see
-/// greedyVertexSeparation; the result is identical with or without it.
+/// `exec` is unused: the greedy is serial.  The parameter stays only so
+/// that existing callers keep compiling.
 [[nodiscard]] IntervalRepresentation bestIntervalRepresentation(
     const Graph& g, int exactMaxN = 18, ParallelExecutor* exec = nullptr);
 

@@ -149,11 +149,8 @@ TreeDecomposition balancedFromPath(const PathDecomposition& pd) {
 }
 
 TreeDecomposition treeDecompositionOf(const Graph& g) {
-  const auto layout = exactVertexSeparation(g, 18);
-  const std::vector<VertexId> order =
-      layout ? layout->order : greedyVertexSeparation(g).order;
-  const auto rep = layoutToIntervalRep(g, order);
-  return fromPathDecomposition(toPathDecomposition(rep));
+  return fromPathDecomposition(
+      toPathDecomposition(bestIntervalRepresentation(g, 18)));
 }
 
 }  // namespace lanecert

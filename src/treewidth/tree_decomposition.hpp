@@ -58,9 +58,9 @@ class TreeDecomposition {
 /// paths — exactly the transformation the prior O(log² n) scheme rests on).
 [[nodiscard]] TreeDecomposition balancedFromPath(const PathDecomposition& pd);
 
-/// A (non-optimal) tree decomposition of any graph from an elimination
-/// ordering; width == the ordering's fill-in clique size - 1.  Uses the
-/// pathwidth module's greedy order (treewidth <= pathwidth always).
+/// A (non-optimal) tree decomposition of any graph: the path decomposition
+/// of bestIntervalRepresentation(g, 18), viewed as a path-shaped tree
+/// (treewidth <= pathwidth always).
 [[nodiscard]] TreeDecomposition treeDecompositionOf(const Graph& g);
 
 }  // namespace lanecert

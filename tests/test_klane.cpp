@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "klane/hierarchy.hpp"
@@ -39,6 +42,31 @@ TEST(TerminalMap, SetAndGet) {
   EXPECT_EQ(tm.at(3), 9);
   EXPECT_EQ(tm.entries().size(), 2u);
   EXPECT_EQ(tm.entries()[0].first, 1);  // sorted by lane
+}
+
+TEST(TerminalMap, SmallAndLargeMapsAgreeWithSortedBuild) {
+  // Small maps keep their entries inline and larger ones on the heap; the
+  // two must read the same, whichever way a map was built.
+  const std::vector<int> order = {7, 2, 9, 0, 4, 11, 1, 5, 3, 10, 6, 8};
+  for (std::size_t count = 0; count <= order.size(); ++count) {
+    TerminalMap bySet;
+    std::vector<TerminalMap::Entry> sorted;
+    for (std::size_t i = 0; i < count; ++i) {
+      bySet.set(order[i], 100 + order[i]);
+      sorted.emplace_back(order[i], 100 + order[i]);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    const TerminalMap bulk = TerminalMap::fromSortedEntries(sorted);
+    EXPECT_EQ(bySet, bulk) << count;
+    EXPECT_TRUE(std::ranges::equal(bySet.entries(), sorted)) << count;
+    for (const auto& [lane, v] : sorted) EXPECT_EQ(bulk.at(lane), v);
+    if (count > 0) {
+      bySet.set(order[0], 1);  // overwrite, whichever storage holds it
+      EXPECT_EQ(bySet.at(order[0]), 1) << count;
+      EXPECT_EQ(bySet.entries().size(), count);
+      EXPECT_FALSE(bySet == bulk) << count;
+    }
+  }
 }
 
 TEST(Hierarchy, InitialPathOnly) {
