@@ -13,10 +13,8 @@
 #include <string_view>
 #include <vector>
 
-#include "core/algebra.hpp"
 #include "core/prover.hpp"
 #include "core/scheme.hpp"
-#include "core/simd.hpp"
 #include "core/verify_session.hpp"
 #include "graph/generators.hpp"
 #include "mso/properties.hpp"
@@ -232,44 +230,6 @@ BENCHMARK(BM_Reverify)
     ->Args({4096, 100})
     ->Args({4096, 1000})
     ->Unit(benchmark::kMillisecond);
-
-void BM_AlgebraFold(benchmark::State& state) {
-  // The SIMD-kernel microbench: the baseP replay and the parentMerge fold
-  // in isolation, over a synthetic chain at the arg'd lane width.  These
-  // two folds are exactly what a chain-entry validation replays, so this
-  // isolates the struct-of-arrays kernels (core/simd.hpp) from decode and
-  // sweep bookkeeping.  The `simd` counter records which backend the
-  // binary was configured with (1 = omp-simd, 0 = scalar fallback) so
-  // archived runs of the two builds are distinguishable.
-  const auto prop = makeConnectivity();
-  const LaneAlgebra alg(*prop);
-  const int width = static_cast<int>(state.range(0));
-  std::vector<int> lanes;
-  std::vector<std::uint64_t> pathIds;
-  std::vector<std::uint8_t> realFlags;
-  for (int l = 0; l < width; ++l) {
-    lanes.push_back(l);
-    pathIds.push_back(static_cast<std::uint64_t>(1000 + l));
-    if (l + 1 < width) realFlags.push_back(l % 2 == 0 ? 1 : 0);
-  }
-  // Children to fold onto the path: one single-lane edge per lane, its
-  // IN-terminal glued onto that lane's path terminal (parentMerge demotes
-  // the glued vertex each round, exactly like a T-entry replay).
-  for (auto _ : state) {
-    NodeData cur = alg.baseP(lanes, pathIds, realFlags);
-    for (int l = 0; l < width; ++l) {
-      const NodeData child =
-          alg.baseE(l, static_cast<std::uint64_t>(1000 + l),
-                    static_cast<std::uint64_t>(2000 + l), /*real=*/true);
-      cur = alg.parentMerge(child, cur);
-    }
-    benchmark::DoNotOptimize(cur.state);
-  }
-  state.counters["simd"] = simd::kEnabled ? 1.0 : 0.0;
-  state.counters["width"] = static_cast<double>(width);
-}
-BENCHMARK(BM_AlgebraFold)->Arg(4)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_SingleVertexVerification(benchmark::State& state) {
   // The cost of ONE vertex's local check (what a real processor pays).

@@ -11,11 +11,7 @@
 #                 ("verify.sh: [ci] check=<name> status=<ok|fail|skip> exit=<code>"),
 #                 so a workflow log shows which exit-code class fired
 #                 without scrolling through build output.  Also runs the
-#                 SIMD/scalar cross-build check: the CLI proves and
-#                 verifies a fixed graph in the main build AND a
-#                 -DLANECERT_SIMD=OFF build, and the certificate bytes
-#                 must be identical (the kernels are exact integer/byte
-#                 predicates, so vectorization may never change a bit)
+#                 --ci-only checks below (classes 8-11)
 #
 # Distinct exit codes per failure class, so CI and scripts can tell what
 # broke without parsing output:
@@ -25,7 +21,8 @@
 #   4  configure or build failure
 #   5  test failure
 #   6  benchmark smoke failure
-#   7  SIMD/scalar cross-build certificate divergence (--ci only)
+#   7  retired: there is one build, and the certificate goldens in
+#      tests/test_golden.cpp (ctest, class 5) pin its bytes
 #   8  certificate fuzz regression (--ci only): the deterministic fuzz
 #      campaign found a verifier crash/hang or an accepted corrupting
 #      mutation; reproduction artifacts are left in build/fuzz-artifacts
@@ -80,7 +77,7 @@ fail() {  # <check> <exit-class> <message>
 
 # --- Lint class 1: generated build trees must never be committed (PR 1
 # accidentally checked in ~300 files under build/; .gitignore now covers it).
-if tracked_build="$(git ls-files -- 'build/*' 'build-scalar/*' "*.o")" && [ -n "${tracked_build}" ]; then
+if tracked_build="$(git ls-files -- 'build/*' "*.o")" && [ -n "${tracked_build}" ]; then
   echo "${tracked_build}" | head -20 >&2
   fail tracked-build-files 2 "generated files are tracked by git (listed above)"
 fi
@@ -165,65 +162,6 @@ else
   ci_report bench-smoke skip 6
 fi
 
-# --- SIMD/scalar cross-build certificate identity (--ci only): the two
-# kernel sets must produce byte-identical certificates and verdicts on a
-# fixed graph.  The in-build property tests already pin dispatched ==
-# scalar WITHIN one binary; this is the cross-BUILD end of the contract —
-# prove under each build, byte-compare the label files, then cross-verify
-# each build's certificates with the OTHER build's verifier.
-if [ "${CI_MODE}" -eq 1 ]; then
-  if [ -x build/lanecert_cli ]; then
-    scalar_build="build-scalar"
-    if ! cmake -B "${scalar_build}" -S . -DLANECERT_SIMD=OFF \
-         -DCMAKE_BUILD_TYPE=Release \
-         "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}" >/dev/null; then
-      fail simd-cross-build 7 "scalar-fallback configure"
-    fi
-    if ! cmake --build "${scalar_build}" -j "${JOBS}" --target lanecert_cli; then
-      fail simd-cross-build 7 "scalar-fallback build"
-    fi
-    simd_tmp="$(mktemp -d)"
-    trap 'rm -rf "${simd_tmp}"' EXIT
-    # Fixed seed graph: a 48-vertex path with chords every third vertex —
-    # deterministic bytes, connected, pathwidth small enough to certify
-    # with default parameters.  The CLI's identity id-assignment makes the
-    # whole prove/verify pipeline a pure function of this file.
-    awk 'BEGIN {
-      n = 48; m = 0;
-      for (i = 0; i + 1 < n; ++i) { eu[m] = i; ev[m] = i + 1; ++m; }
-      for (i = 0; i + 2 < n; i += 3) { eu[m] = i; ev[m] = i + 2; ++m; }
-      print n, m;
-      for (i = 0; i < m; ++i) print eu[i], ev[i];
-    }' > "${simd_tmp}/graph.txt"
-    if ! build/lanecert_cli prove "${simd_tmp}/graph.txt" connectivity \
-         "${simd_tmp}/simd.cert" >/dev/null; then
-      fail simd-cross-build 7 "prove failed in SIMD build"
-    fi
-    if ! "${scalar_build}/lanecert_cli" prove "${simd_tmp}/graph.txt" \
-         connectivity "${simd_tmp}/scalar.cert" >/dev/null; then
-      fail simd-cross-build 7 "prove failed in scalar build"
-    fi
-    if ! cmp -s "${simd_tmp}/simd.cert" "${simd_tmp}/scalar.cert"; then
-      fail simd-cross-build 7 "certificates differ between SIMD and scalar builds"
-    fi
-    # Cross-verify: each build's verifier must accept the other's bytes.
-    if ! build/lanecert_cli verify "${simd_tmp}/graph.txt" connectivity \
-         "${simd_tmp}/scalar.cert" >/dev/null; then
-      fail simd-cross-build 7 "SIMD verifier rejected scalar certificates"
-    fi
-    if ! "${scalar_build}/lanecert_cli" verify "${simd_tmp}/graph.txt" \
-         connectivity "${simd_tmp}/simd.cert" >/dev/null; then
-      fail simd-cross-build 7 "scalar verifier rejected SIMD certificates"
-    fi
-    ci_report simd-cross-build ok 7
-  else
-    echo "verify.sh: build/lanecert_cli missing; skipping SIMD cross-build check"
-    ci_report simd-cross-build skip 7
-  fi
-else
-  ci_report simd-cross-build skip 7
-fi
-
 # --- Certificate fuzz regression (--ci only): a deterministic slice of the
 # structure-aware fuzz campaign (fixed seed, bounded budget).  Any
 # violation — a crash, a hang past the budget, an accepted semantically
@@ -276,7 +214,7 @@ fi
 if [ "${CI_MODE}" -eq 1 ]; then
   if [ -x build/snapshot_tool ]; then
     snap_tmp="$(mktemp -d)"
-    trap 'rm -rf "${snap_tmp}" ${simd_tmp:+"${simd_tmp}"}' EXIT
+    trap 'rm -rf "${snap_tmp}"' EXIT
     # Fixed graph: 64-vertex path with chords every fourth vertex —
     # deterministic, connected, small pathwidth.
     awk 'BEGIN {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/simd.hpp"
-
 namespace lanecert {
 
 namespace {
@@ -11,16 +9,16 @@ namespace {
 // The folds below run concurrently from the wave-parallel prover and the
 // sharded verifier, so all scratch is thread-local and staged in the
 // struct-of-arrays FoldScratch: each helper works on one contiguous u64
-// lane, which is what lets the simd:: kernels vectorize the scans.
+// lane.
 FoldScratch& foldScratch() {
   thread_local FoldScratch s;
   return s;
 }
 
 int slotIndexOf(std::span<const std::uint64_t> slots, std::uint64_t id) {
-  const std::ptrdiff_t i = simd::findU64(slots.data(), slots.size(), id);
-  if (i < 0) throw DecodeError{};
-  return static_cast<int>(i);
+  const auto it = std::ranges::find(slots, id);
+  if (it == slots.end()) throw DecodeError{};
+  return static_cast<int>(it - slots.begin());
 }
 
 /// Sorted copy of `ids` in the scratch sort lane; valid until the next call
@@ -34,9 +32,7 @@ std::span<const std::uint64_t> sortedLane(std::span<const std::uint64_t> ids) {
 
 void requireDistinct(std::span<const std::uint64_t> ids) {
   const auto sorted = sortedLane(ids);
-  if (simd::hasAdjacentDupU64(sorted.data(), sorted.size())) {
-    throw DecodeError{};
-  }
+  if (std::ranges::adjacent_find(sorted) != sorted.end()) throw DecodeError{};
 }
 
 std::vector<int> mergedLanes(const std::vector<int>& a, const std::vector<int>& b) {
@@ -134,7 +130,7 @@ NodeData LaneAlgebra::parentMerge(const NodeData& child,
     glueIds.push_back(g);
   }
   std::sort(glueIds.begin(), glueIds.end());
-  if (simd::hasAdjacentDupU64(glueIds.data(), glueIds.size())) {
+  if (std::ranges::adjacent_find(glueIds) != glueIds.end()) {
     throw DecodeError{};  // two lanes glued through one vertex
   }
   // The parts may share vertices ONLY at the gluing points.
@@ -167,17 +163,12 @@ NodeData LaneAlgebra::parentMerge(const NodeData& child,
   // occurrence of the shared identifier.
   for (int lane : child.lanes) {
     const std::uint64_t g = parent.outTerm.at(lane);
-    if (simd::countU64(slots.data(), slots.size(), g) != 2) {
-      throw DecodeError{};
-    }
-    const auto first =
-        static_cast<std::size_t>(simd::findU64(slots.data(), slots.size(), g));
-    const auto last = first + 1 +
-                      static_cast<std::size_t>(simd::findU64(
-                          slots.data() + first + 1, slots.size() - first - 1,
-                          g));
-    s = prop_.identify(s, static_cast<int>(first), static_cast<int>(last));
-    slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(last));
+    if (std::ranges::count(slots, g) != 2) throw DecodeError{};
+    const auto first = std::ranges::find(slots, g);
+    const auto last = std::find(first + 1, slots.end(), g);
+    s = prop_.identify(s, static_cast<int>(first - slots.begin()),
+                       static_cast<int>(last - slots.begin()));
+    slots.erase(last);
   }
   requireDistinct(slots);
   // Demote everything that is no longer a terminal of the merged graph.
@@ -227,22 +218,15 @@ NodeData LaneAlgebra::fromSummary(const SummaryRec& rec) const {
   std::sort(termIds.begin(), termIds.end());
   termIds.erase(std::unique(termIds.begin(), termIds.end()), termIds.end());
   // requireDistinct passed, so comparing the sorted slot lane against the
-  // deduplicated terminal lane decides set equality (u64 lanes: one
-  // contiguous byte compare).
+  // deduplicated terminal lane decides set equality.
   std::vector<std::uint64_t>& slotsSorted = fs.ids;
   slotsSorted.assign(d.slots.begin(), d.slots.end());
   std::sort(slotsSorted.begin(), slotsSorted.end());
-  if (termIds.size() != slotsSorted.size() ||
-      !simd::equalBytes(termIds.data(), slotsSorted.data(),
-                        termIds.size() * sizeof(std::uint64_t))) {
-    throw DecodeError{};
-  }
+  if (termIds != slotsSorted) throw DecodeError{};
   d.state = prop_.decodeState(rec.stateBytes);
   // Canonicality: re-encoding must reproduce the bytes, and the state's
   // internal slot count must match the layout.
-  const std::string& enc = d.state.encoding();
-  if (enc.size() != rec.stateBytes.size() ||
-      !simd::equalBytes(enc.data(), rec.stateBytes.data(), enc.size())) {
+  if (!std::ranges::equal(d.state.encoding(), rec.stateBytes)) {
     throw DecodeError{};
   }
   if (prop_.slotCount(d.state) != static_cast<int>(d.slots.size())) {

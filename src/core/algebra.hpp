@@ -36,10 +36,10 @@ struct NodeData {
 /// Per-thread struct-of-arrays scratch for the fold kernels.  Earlier
 /// revisions kept one ad-hoc thread_local vector per helper; the folds now
 /// stage every intermediate quantity in SEPARATE contiguous lanes — vertex
-/// identifiers, sort copies, gluing ids, surviving terminals — so the
-/// SIMD kernels (core/simd.hpp) scan flat u64 arrays instead of walking
-/// record structs.  One instance lives per thread inside algebra.cpp;
-/// every lane is assign()ed before use, so no state crosses calls.
+/// identifiers, sort copies, gluing ids, surviving terminals — so the scans
+/// walk flat u64 arrays instead of record structs.  One instance lives per
+/// thread inside algebra.cpp; every lane is assign()ed before use, so no
+/// state crosses calls.
 struct FoldScratch {
   std::vector<std::uint64_t> ids;     ///< merged slot-id lane (parentMerge)
   std::vector<std::uint64_t> sorted;  ///< sort/distinctness lane

@@ -72,15 +72,6 @@ struct CoreVerifierParams {
   /// Max embedding paths through one edge (0 = unlimited); h(k+1) bounds
   /// honest labelings.
   int maxThrough = 0;
-  /// Per-thread read-side memo in front of the sweep cache: validated
-  /// entry encodings a thread has already seen hit WITHOUT a shared-cache
-  /// probe (no stripe lock, no shared lookup).  It pays mainly on ONE
-  /// thread, as a cheaper lookup rather than a cure for stripe contention:
-  /// on a 4-core machine the n = 4096 sweep took 969 ms without it and
-  /// 760 ms with it at t = 1, but 348 ms and 334 ms at t = 4.  Verdicts are
-  /// independent of this flag (cache hits only skip forced recomputation);
-  /// the property tests flip it to assert exactly that.
-  bool readMemo = true;
 };
 
 /// Monotonic counters of the sweep cache + read memo (diagnostics).

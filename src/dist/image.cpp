@@ -37,7 +37,6 @@ void storeU64(char* p, std::uint64_t x) { std::memcpy(p, &x, 8); }
   enc.u64(meta.threadsPerWorker);
   enc.u64(static_cast<std::uint64_t>(meta.params.maxLanes));
   enc.u64(static_cast<std::uint64_t>(meta.params.maxThrough));
-  enc.boolean(meta.params.readMemo);
   enc.bytes(meta.property);
   return enc.take();
 }
@@ -209,7 +208,6 @@ ImageView ImageView::open(std::string_view bytes) {
     view.meta_.threadsPerWorker = static_cast<std::uint32_t>(dec.u64());
     view.meta_.params.maxLanes = static_cast<int>(dec.u64());
     view.meta_.params.maxThrough = static_cast<int>(dec.u64());
-    view.meta_.params.readMemo = dec.boolean();
     view.meta_.property = dec.bytes();
     if (!dec.atEnd()) return fail("meta trailing bytes");
   } catch (const DecodeError&) {

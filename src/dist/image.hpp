@@ -30,7 +30,7 @@
 //
 // Sections:
 //   kMeta          varint stream: n, m, workers, threadsPerWorker,
-//                  maxLanes, maxThrough, readMemo, property name (bytes)
+//                  maxLanes, maxThrough, property name (bytes)
 //   kIds           n × u64 LE — IdAssignment::id(v) by dense vertex
 //   kRowPtr        (n+1) × u64 LE — incident-arc CSR offsets (rowPtr[n]=2m)
 //   kArcs          2m × u32 LE — edge id of each arc, vertex-major in arc
@@ -59,7 +59,7 @@ namespace lanecert::dist {
 
 inline constexpr std::string_view kImageMagic{"LANEDSHM", 8};
 /// Bump on ANY layout or meta-encoding change; stale workers then reject.
-inline constexpr std::uint32_t kImageFormatVersion = 1;
+inline constexpr std::uint32_t kImageFormatVersion = 2;
 
 enum class ImageSection : std::uint32_t {
   kMeta = 1,

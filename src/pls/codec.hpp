@@ -7,9 +7,7 @@
 // verifiers translate into rejection (a malformed certificate must never
 // crash the verifier).
 
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -84,39 +82,11 @@ class Decoder {
   Decoder(const Decoder&) = delete;
   Decoder& operator=(const Decoder&) = delete;
 
+  /// Unsigned LEB128, hard-capped at 10 bytes (ceil(64 / 7)): an
+  /// unterminated run of 0x80 continuation bytes must not scan further
+  /// into the buffer, and bits beyond the 64th must reject rather than
+  /// silently truncate.
   [[nodiscard]] std::uint64_t u64() {
-#if defined(LANECERT_SIMD) && LANECERT_SIMD
-    // SWAR fast path: one aligned-agnostic 16-bit load answers the two
-    // dominant cases (certificate varints are overwhelmingly 1–2 bytes —
-    // vertex ids, lane indices, list lengths) with masks instead of a
-    // byte-serial continuation-bit loop.  Buffer tails (< 2 bytes left) and
-    // >= 3-byte varints fall back to the scalar reference, so the decoded
-    // value, the final position, and every DecodeError are identical to
-    // u64Scalar() on all inputs (identity-tested in test_fuzz.cpp).
-    if constexpr (std::endian::native == std::endian::little) {
-      if (data_.size() - pos_ >= 2) {
-        std::uint16_t w;
-        std::memcpy(&w, data_.data() + pos_, 2);
-        if ((w & 0x80u) == 0) {
-          ++pos_;
-          return w & 0x7fu;
-        }
-        if ((w & 0x8000u) == 0) {
-          pos_ += 2;
-          return (w & 0x7fu) |
-                 (static_cast<std::uint64_t>((w >> 8) & 0x7fu) << 7);
-        }
-      }
-    }
-#endif
-    return u64Scalar();
-  }
-  /// Byte-serial LEB128 reference: always compiled, identical contract to
-  /// u64() (which dispatches here for everything the SWAR path skips).
-  /// Hard-capped at 10 bytes (ceil(64 / 7)): an unterminated run of 0x80
-  /// continuation bytes must not scan further into the buffer, and bits
-  /// beyond the 64th must reject rather than silently truncate.
-  [[nodiscard]] std::uint64_t u64Scalar() {
     std::uint64_t x = 0;
     int shift = 0;
     while (true) {

@@ -177,111 +177,5 @@ TEST(FuzzMutator, DeterministicAndClassifierAgreesWithDecoder) {
   EXPECT_EQ(classifyMutation(label, label), FuzzVerdictClass::kNoop);
 }
 
-// --- SWAR fast-path identity ----------------------------------------------
-// Decoder::u64 takes a two-byte SWAR shortcut (under LANECERT_SIMD) for the
-// 1-2 byte varints that dominate certificates; u64Scalar is the byte-serial
-// reference it falls back to.  The contract is total identity: same value,
-// same final position, same DecodeError, on EVERY input.  These tests run
-// both paths side by side; with LANECERT_SIMD off they degenerate to
-// scalar-vs-scalar and stay green.
-
-/// Decodes one varint with each path from the same start; asserts both
-/// agree on outcome, value, and consumed bytes.
-void expectSwarScalarIdentity(std::string_view buf) {
-  Decoder fast{buf};
-  Decoder ref{buf};
-  std::uint64_t fastValue = 0;
-  std::uint64_t refValue = 0;
-  bool fastThrew = false;
-  bool refThrew = false;
-  try {
-    fastValue = fast.u64();
-  } catch (const DecodeError&) {
-    fastThrew = true;
-  }
-  try {
-    refValue = ref.u64Scalar();
-  } catch (const DecodeError&) {
-    refThrew = true;
-  }
-  ASSERT_EQ(fastThrew, refThrew) << "divergent outcome";
-  if (!fastThrew) {
-    EXPECT_EQ(fastValue, refValue);
-    EXPECT_EQ(fast.remaining(), ref.remaining());
-  }
-}
-
-TEST(SwarVarint, IdenticalOnCanonicalAndPaddedEncodings) {
-  const std::uint64_t corpus[] = {
-      0,    1,    0x7f,   0x80,   0x81,   0xff,       0x3fff,
-      0x4000, 0xffff, 0x1ull << 21, 0xdeadbeefull, ~0ull};
-  for (std::uint64_t value : corpus) {
-    const std::size_t canonical = encodeVarint(value).size();
-    for (std::size_t width = canonical; width <= 10; ++width) {
-      expectSwarScalarIdentity(encodeVarint(value, width));
-    }
-  }
-  // Padded zero (0x80 0x00): 2-byte encoding of 0 — the SWAR two-byte case
-  // with an all-zero high byte.
-  expectSwarScalarIdentity(std::string("\x80\x00", 2));
-}
-
-TEST(SwarVarint, IdenticalOnBufferTails) {
-  // A 1-byte buffer can't take the 16-bit load; both paths must still
-  // agree (value for a terminated byte, throw for a continuation byte).
-  expectSwarScalarIdentity(std::string("\x05", 1));
-  expectSwarScalarIdentity(std::string("\x80", 1));
-  expectSwarScalarIdentity(std::string("\xff", 1));
-  expectSwarScalarIdentity(std::string_view{});
-  // Exactly two bytes left, second byte also a continuation: SWAR window
-  // sees 0x8080 and must hand off to scalar, which then hits end-of-buffer.
-  expectSwarScalarIdentity(std::string("\x80\x80", 2));
-}
-
-TEST(SwarVarint, IdenticalOnRandomByteSoup) {
-  std::uint64_t state = 0x243f6a8885a308d3ull;
-  auto next = [&state]() {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::string buf;
-    const std::size_t len = next() % 12;
-    for (std::size_t i = 0; i < len; ++i) {
-      buf.push_back(static_cast<char>(next() & 0xff));
-    }
-    expectSwarScalarIdentity(buf);
-  }
-}
-
-TEST(SwarVarint, WholeStreamIdentity) {
-  // Decode an honest multi-varint stream twice, once per path, comparing
-  // the full (value, position) trace.
-  Encoder enc;
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  std::vector<std::uint64_t> values;
-  for (int i = 0; i < 500; ++i) {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    // Bias toward the 1-2 byte range the SWAR path serves.
-    const std::uint64_t v =
-        (i % 3 == 0) ? state : (state & ((i % 2 == 0) ? 0x7full : 0x3fffull));
-    values.push_back(v);
-    enc.u64(v);
-  }
-  Decoder fast{std::string_view(enc.str())};
-  Decoder ref{std::string_view(enc.str())};
-  for (std::uint64_t expected : values) {
-    ASSERT_EQ(fast.u64(), expected);
-    ASSERT_EQ(ref.u64Scalar(), expected);
-    ASSERT_EQ(fast.remaining(), ref.remaining());
-  }
-  EXPECT_TRUE(fast.atEnd());
-  EXPECT_TRUE(ref.atEnd());
-}
-
 }  // namespace
 }  // namespace lanecert

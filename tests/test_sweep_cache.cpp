@@ -1,29 +1,19 @@
-// SIMD / topology safety net for the hardware-aware verifier.
+// Sweep-cache safety net for the parallel verifier, plus the machine-facts
+// probe:
 //
-// Two layers of bit-identity, from kernels to whole sweeps, plus the
-// machine-facts probe:
-//
-//  1. The dispatched simd::* kernels agree with the always-compiled
-//     simd::scalar::* reference loops on every size and alignment
-//     (including 0, the block width, and off-by-one around it).  In the
-//     scalar-fallback build (-DLANECERT_SIMD=OFF) the dispatched names ARE
-//     the reference loops, so the tests pass trivially there — the
-//     cross-BUILD byte identity is checked by scripts/verify.sh --ci.
-//  2. Whole verification sweeps are byte-identical across thread counts
-//     {1, 2, 4, 8} and across the read-memo toggle, on honest AND
-//     corrupted labelings over a spread of graph families.
+//  1. Whole verification sweeps are byte-identical across thread counts
+//     {1, 2, 4, 8}, on honest AND corrupted labelings over a spread of
+//     graph families.
+//  2. The sweep cache and the per-thread read memo count what they serve,
+//     and a memo filled against one engine never answers for another.
 //  3. NUMA node detection never throws and reports at least one node.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdint>
-#include <random>
 #include <string>
 #include <vector>
 
 #include "core/prover.hpp"
-#include "core/simd.hpp"
 #include "core/verifier.hpp"
 #include "core/verify_session.hpp"
 #include "graph/generators.hpp"
@@ -36,48 +26,7 @@
 namespace lanecert {
 namespace {
 
-// --- 1. Kernel identity ---------------------------------------------------
-
-TEST(SimdKernels, MatchScalarOnAllSmallSizes) {
-  std::mt19937_64 rng(7);
-  for (std::size_t n = 0; n <= 20; ++n) {
-    for (int rep = 0; rep < 50; ++rep) {
-      std::vector<std::uint64_t> data(n);
-      // Small value range so hits, duplicates, and misses all occur.
-      for (auto& x : data) x = rng() % 8;
-      const std::uint64_t key = rng() % 10;
-      const std::uint64_t* p = data.data();
-      EXPECT_EQ(simd::findU64(p, n, key), simd::scalar::findU64(p, n, key));
-      EXPECT_EQ(simd::countU64(p, n, key), simd::scalar::countU64(p, n, key));
-      std::vector<std::uint64_t> sorted = data;
-      std::sort(sorted.begin(), sorted.end());
-      EXPECT_EQ(simd::hasAdjacentDupU64(sorted.data(), n),
-                simd::scalar::hasAdjacentDupU64(sorted.data(), n));
-    }
-  }
-}
-
-TEST(SimdKernels, FindReturnsFirstIndex) {
-  // Duplicate keys: the dispatched kernel must return the FIRST hit even
-  // when several land in one block.
-  const std::vector<std::uint64_t> data = {5, 3, 7, 3, 3, 9, 3, 1, 3, 3};
-  EXPECT_EQ(simd::findU64(data.data(), data.size(), 3), 1);
-  EXPECT_EQ(simd::findU64(data.data(), data.size(), 5), 0);
-  EXPECT_EQ(simd::findU64(data.data(), data.size(), 42), -1);
-}
-
-TEST(SimdKernels, EqualBytesHandlesEmptyAndNull) {
-  // Empty vectors may hand out null data pointers; n == 0 must not reach
-  // memcmp in either implementation.
-  EXPECT_TRUE(simd::equalBytes(nullptr, nullptr, 0));
-  EXPECT_TRUE(simd::scalar::equalBytes(nullptr, nullptr, 0));
-  const std::string a = "lane-cert";
-  const std::string b = "lane-cerT";
-  EXPECT_TRUE(simd::equalBytes(a.data(), a.data(), a.size()));
-  EXPECT_FALSE(simd::equalBytes(a.data(), b.data(), a.size()));
-}
-
-// --- 2. Sweep-level identity across threads / memo toggle -----------------
+// --- 1. Sweep-level identity across threads ------------------------------
 
 struct SweepFamily {
   std::string name;
@@ -108,7 +57,7 @@ void expectSameResult(const SimulationResult& got, const SimulationResult& want,
   EXPECT_EQ(got.totalLabelBits, want.totalLabelBits) << what;
 }
 
-TEST(SimdSweeps, VerdictsIdenticalAcrossThreadsAndReadMemo) {
+TEST(SweepCache, VerdictsIdenticalAcrossThreads) {
   for (SweepFamily& fam : sweepFamilies()) {
     const IdAssignment ids = IdAssignment::random(fam.g.numVertices(), 1234);
     const auto proved = proveCore(fam.g, ids, *makeConnectivity(), nullptr);
@@ -125,29 +74,24 @@ TEST(SimdSweeps, VerdictsIdenticalAcrossThreadsAndReadMemo) {
 
     for (const auto& labels : labelings) {
       SimulationResult baseline;
-      bool first = true;
-      for (const bool readMemo : {true, false}) {
-        CoreVerifierParams params;
-        params.readMemo = readMemo;
-        for (const int threads : {1, 2, 4, 8}) {
-          const auto verifier = makeCoreVerifier(makeConnectivity(), params);
-          const auto res = simulateEdgeScheme(fam.g, ids, labels, verifier,
-                                              SimulationOptions{threads});
-          if (first) {
-            baseline = res;
-            first = false;
-          } else {
-            expectSameResult(res, baseline,
-                             fam.name + " threads=" + std::to_string(threads) +
-                                 " memo=" + std::to_string(readMemo));
-          }
+      for (const int threads : {1, 2, 4, 8}) {
+        const auto verifier = makeCoreVerifier(makeConnectivity());
+        const auto res = simulateEdgeScheme(fam.g, ids, labels, verifier,
+                                            SimulationOptions{threads});
+        if (threads == 1) {
+          baseline = res;
+        } else {
+          expectSameResult(res, baseline,
+                           fam.name + " threads=" + std::to_string(threads));
         }
       }
     }
   }
 }
 
-TEST(SimdSweeps, CacheStatsCountHitsMissesAndMemoHits) {
+// --- 2. Cache and memo accounting -----------------------------------------
+
+TEST(SweepCache, CacheStatsCountHitsMissesAndMemoHits) {
   Rng rng(41);
   auto bp = randomBoundedPathwidth(48, 2, 0.5, rng);
   const IdAssignment ids = IdAssignment::random(bp.graph.numVertices(), 99);
@@ -170,17 +114,9 @@ TEST(SimdSweeps, CacheStatsCountHitsMissesAndMemoHits) {
   const SweepCacheStats s2 = session.cacheStats();
   EXPECT_EQ(s2.entries, s1.entries);
   EXPECT_GT(s2.hits + s2.memoHits, s1.hits + s1.memoHits);
-
-  // The memo toggle gates memo hits entirely.
-  CoreVerifierParams noMemo;
-  noMemo.readMemo = false;
-  VerifySession blind(bp.graph, ids, proved.labels, makeConnectivity(),
-                      noMemo);
-  EXPECT_TRUE(blind.verifyAll(2).allAccept);
-  EXPECT_EQ(blind.cacheStats().memoHits, 0u);
 }
 
-TEST(SimdSweeps, ReadMemoNeverLeaksAcrossEngines) {
+TEST(SweepCache, ReadMemoNeverLeaksAcrossEngines) {
   // The per-thread read memo lives in scratch shared by EVERY engine that
   // checks on a thread (makeCoreVerifier's thread_local state; per-job
   // closures multiplexed over one worker pool).  A memo filled against
