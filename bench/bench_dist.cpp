@@ -1,13 +1,13 @@
 // Multi-process distributed verification (src/dist) end to end: shared
 // image construction + K forked owner partitions + the merged sweep,
-// measured cold (construct + verifyAll per iteration — the whole lifecycle
-// a DistVerifyJob pays), plus the warm incremental path.
+// measured as construct + verifyAll per iteration — the verifier's whole
+// lifecycle.
 //
 // BM_DistVerify sweeps n at K = 4: the acceptance point is n = 1048576
 // completing on the reference container, archived in bench/BENCH_dist.json.
 // BM_DistVerifyWorkers sweeps K at fixed n — the verdict is byte-identical
 // at every K (tests/test_dist.cpp), so this curve is pure process overhead:
-// fork + image open + control round-trips.
+// fork + image open + the start barrier + reaping.
 //
 // The /64 point exists for the verify.sh bench smoke (1-iteration filter
 // on small size args); the large points deliberately use worker counts
@@ -24,7 +24,6 @@
 #include "graph/generators.hpp"
 #include "interval/interval.hpp"
 #include "mso/properties.hpp"
-#include "runtime/label_store.hpp"
 
 namespace {
 
@@ -106,40 +105,6 @@ BENCHMARK(BM_DistVerifyWorkers)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.05)
-    ->UseRealTime();
-
-void BM_DistReverify(benchmark::State& state) {
-  // The warm incremental path: one live DistVerifier absorbing edit
-  // batches that dirty a handful of edges, vs the cold sweep above.  Each
-  // batch is an honest same-size rewrite (steady-state in-place store path
-  // on both the coordinator's store and every worker's), and the dirty set
-  // routes to at most two owners — the skippedWorkers counter in
-  // tests/test_dist.cpp pins that.
-  const DistInstance& inst = distInstance(static_cast<int>(state.range(0)));
-  dist::DistOptions opts;
-  opts.workers = 4;
-  dist::DistVerifier dv(inst.g, inst.ids, inst.labels, "connectivity", {},
-                        opts);
-  (void)dv.verifyAll();  // warm sweep, untimed
-  std::vector<EdgeLabelEdit> batch;
-  const auto m = static_cast<std::size_t>(inst.g.numEdges());
-  for (std::size_t i = 0; i < 8; ++i) {
-    const auto e = static_cast<EdgeId>(i * (m / 8));
-    batch.push_back({e, inst.labels[static_cast<std::size_t>(e)]});
-  }
-  (void)dv.reverifyEdits(batch);  // move labels into store-owned slots
-  for (auto _ : state) {
-    for (EdgeLabelEdit& ed : batch) ed.bytes[0] ^= 0x01;
-    const SimulationResult res = dv.reverifyEdits(batch);
-    benchmark::DoNotOptimize(res.allAccept);
-  }
-  state.counters["dirty_edges"] = static_cast<double>(batch.size());
-}
-BENCHMARK(BM_DistReverify)
-    ->Arg(16384)
-    ->Arg(65536)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.05)
     ->UseRealTime();

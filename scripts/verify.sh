@@ -11,7 +11,7 @@
 #                 ("verify.sh: [ci] check=<name> status=<ok|fail|skip> exit=<code>"),
 #                 so a workflow log shows which exit-code class fired
 #                 without scrolling through build output.  Also runs the
-#                 --ci-only checks below (classes 8-11)
+#                 --ci-only checks below (classes 8-10)
 #
 # Distinct exit codes per failure class, so CI and scripts can tell what
 # broke without parsing output:
@@ -34,10 +34,9 @@
 #      (plan loaded from a persisted snapshot, snapshot_tool --require-hit)
 #      produced different certificate bytes than a cold prove of the same
 #      graph, or the warm path failed to actually hit the snapshot
-#  11  dist smoke failure (--ci only): the multi-process verifier diverged
-#      from the single-process session (dist_verify byte-compares them
-#      internally), or the worker-kill drill failed to recover
-#      (scripts/dist_smoke.sh)
+#  11  retired: the multi-process verifier's byte-identity with the
+#      single-process session is asserted by tests/test_dist.cpp (ctest,
+#      class 5)
 #  12  architecture doc drift: docs/ARCHITECTURE.md is missing or does not
 #      mention some src/ subdirectory — every subsystem must have a chapter
 set -uo pipefail
@@ -247,27 +246,6 @@ if [ "${CI_MODE}" -eq 1 ]; then
   fi
 else
   ci_report snapshot-roundtrip skip 10
-fi
-
-# --- Distributed verification smoke (--ci only): coordinator + forked
-# workers over a 65536-vertex workload, byte-compared against the
-# single-process session inside dist_verify itself, then the same workload
-# with a worker armed to SIGKILL itself mid-sweep — recovery (re-fork +
-# journal replay) must leave the results byte-identical.
-# scripts/dist_smoke.sh is the single implementation; the CI dist-smoke
-# job calls the same script.
-if [ "${CI_MODE}" -eq 1 ]; then
-  if [ -x build/dist_verify ]; then
-    if ! bash scripts/dist_smoke.sh build 65536 4; then
-      fail dist-smoke 11 "dist verification smoke (scripts/dist_smoke.sh)"
-    fi
-    ci_report dist-smoke ok 11
-  else
-    echo "verify.sh: build/dist_verify missing; skipping dist smoke"
-    ci_report dist-smoke skip 11
-  fi
-else
-  ci_report dist-smoke skip 11
 fi
 
 echo "verify.sh: OK"

@@ -1,21 +1,20 @@
 #include "dist/dist_verifier.hpp"
 
-#include <poll.h>
+#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
-#include <unordered_map>
-#include <utility>
+#include <stdexcept>
+#include <string_view>
 
 #include "dist/image.hpp"
-#include "dist/worker.hpp"
 #include "mso/properties.hpp"
-#include "pls/codec.hpp"
 #include "runtime/executor.hpp"
 
 namespace lanecert::dist {
@@ -26,332 +25,233 @@ namespace {
   return (x + 63) & ~std::size_t{63};
 }
 
-void encodeEdits(Encoder& enc, std::span<const EdgeLabelEdit> edits) {
-  enc.u64(edits.size());
-  for (const EdgeLabelEdit& e : edits) {
-    enc.u64(static_cast<std::uint64_t>(e.edge));
-    enc.bytes(e.bytes);
+[[noreturn]] void throwErrno(const char* what) {
+  throw std::runtime_error(std::string("DistVerifier: ") + what + ": " +
+                           std::strerror(errno));
+}
+
+/// Everything a forked child needs; plain pointers because the mapping and
+/// the barrier fd are inherited, not transported.
+struct WorkerConfig {
+  const char* imageBase = nullptr;
+  std::size_t imageBytes = 0;
+  std::uint8_t* go = nullptr;
+  /// The WHOLE shared verdict plane (n bytes); the worker writes only its
+  /// partition's slice.
+  std::uint8_t* verdicts = nullptr;
+  std::uint32_t partition = 0;  ///< k in [0, K)
+  int barrierFd = -1;           ///< read end of the start barrier
+};
+
+/// Blocks until every write end of the barrier is closed; true when the go
+/// flag then asks for a sweep.
+bool awaitRelease(const WorkerConfig& cfg) {
+  char byte;
+  while (::read(cfg.barrierFd, &byte, 1) < 0 && errno == EINTR) {
+  }
+  return std::atomic_ref<std::uint8_t>(*cfg.go).load(
+             std::memory_order_acquire) != 0;
+}
+
+/// Child-process entry point after fork; never returns.  Validates the
+/// image, builds the sorted label rows of partition k (the structure
+/// VertexLabelIndex holds for the whole graph, for the owned vertices only),
+/// waits at the barrier, sweeps if asked, and exits 0 — or exits 1 with a
+/// message on stderr when the image or the property fails validation.
+[[noreturn]] void runWorker(const WorkerConfig& cfg) {
+  // Keep only the barrier's read end and stdio: a copy of another live
+  // verifier's barrier write end held here would stall that verifier's
+  // workers until this one exits.
+  const auto keep = static_cast<unsigned>(cfg.barrierFd);
+  if (keep > 3) ::close_range(3, keep - 1, 0);
+  ::close_range(std::max(keep + 1, 3U), ~0U, 0);
+  try {
+    const ImageView img = ImageView::open({cfg.imageBase, cfg.imageBytes});
+    const ImageMeta& meta = img.meta();
+    const PropertyPtr prop = propertyByName(meta.property);
+    if (!prop) {
+      throw std::runtime_error("unknown property '" + meta.property + "'");
+    }
+    const auto [begin, end] = ParallelExecutor::shardRange(
+        static_cast<std::size_t>(meta.numVertices), meta.workers,
+        cfg.partition);
+    const std::size_t owned = end - begin;
+    const CoreVerifierEngine engine(prop, meta.params);
+    ParallelExecutor exec(static_cast<int>(meta.threadsPerWorker));
+    std::vector<CoreVerifierEngine::ThreadState> states(
+        static_cast<std::size_t>(exec.numThreads()));
+
+    const std::vector<std::string_view> labels = img.labelViews();
+    std::vector<std::size_t> rowPtr(owned + 1, 0);
+    for (std::size_t i = 0; i < owned; ++i) {
+      rowPtr[i + 1] = rowPtr[i] + static_cast<std::size_t>(
+                                      img.rowPtr(begin + i + 1) -
+                                      img.rowPtr(begin + i));
+    }
+    std::vector<std::string_view> rows(rowPtr[owned]);
+    exec.forShards(owned, [&](std::size_t, std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) {
+        const std::uint64_t arc = img.rowPtr(begin + i);
+        for (std::size_t j = rowPtr[i]; j < rowPtr[i + 1]; ++j) {
+          rows[j] = labels[img.arcEdge(arc + (j - rowPtr[i]))];
+        }
+        std::sort(rows.begin() + static_cast<std::ptrdiff_t>(rowPtr[i]),
+                  rows.begin() + static_cast<std::ptrdiff_t>(rowPtr[i + 1]));
+      }
+    });
+
+    if (awaitRelease(cfg)) {
+      exec.forShards(owned, [&](std::size_t shard, std::size_t b,
+                                std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) {
+          EdgeView view;
+          view.selfId = img.vertexIdOf(begin + i);
+          view.incidentLabels = {rows.data() + rowPtr[i],
+                                 rowPtr[i + 1] - rowPtr[i]};
+          cfg.verdicts[begin + i] = engine.check(view, states[shard]) ? 1 : 0;
+        }
+      });
+    }
+    _exit(0);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "dist worker %u: %s\n", cfg.partition, e.what());
+    _exit(1);
   }
 }
 
 }  // namespace
 
-DistVerifier::DistVerifier(Graph g, IdAssignment ids,
+DistVerifier::DistVerifier(const Graph& g, const IdAssignment& ids,
                            const std::vector<std::string>& labels,
-                           std::string property, CoreVerifierParams params,
-                           DistOptions options)
-    : g_(std::move(g)),
-      ids_(std::move(ids)),
-      property_(std::move(property)),
-      params_(params),
-      options_(options) {
-  if (labels.size() != static_cast<std::size_t>(g_.numEdges())) {
+                           const std::string& property,
+                           CoreVerifierParams params, DistOptions options)
+    : numVertices_(static_cast<std::size_t>(g.numVertices())) {
+  if (labels.size() != static_cast<std::size_t>(g.numEdges())) {
     throw std::invalid_argument("DistVerifier: one label per edge required");
   }
-  if (!propertyByName(property_)) {
+  if (!propertyByName(property)) {
     throw std::invalid_argument("DistVerifier: unknown property '" +
-                                property_ + "'");
+                                property + "'");
   }
-  options_.workers = std::max(1, options_.workers);
-  const auto n = static_cast<std::size_t>(g_.numVertices());
+  for (const std::string& l : labels) {
+    maxLabelBits_ = std::max(maxLabelBits_, l.size() * 8);
+    totalLabelBits_ += l.size() * 8;
+  }
+  const int count = std::max(1, options.workers);
 
   ImageMeta meta;
-  meta.numVertices = n;
-  meta.numEdges = static_cast<std::uint64_t>(g_.numEdges());
-  meta.workers = static_cast<std::uint32_t>(options_.workers);
+  meta.numVertices = numVertices_;
+  meta.numEdges = static_cast<std::uint64_t>(g.numEdges());
+  meta.workers = static_cast<std::uint32_t>(count);
   meta.threadsPerWorker = static_cast<std::uint32_t>(
-      resolveThreadCount(options_.threadsPerWorker));
-  meta.params = params_;
-  meta.property = property_;
+      resolveThreadCount(options.threadsPerWorker));
+  meta.params = params;
+  meta.property = property;
 
-  imageBytes_ = imageSizeBytes(g_, labels, meta);
-  mapBytes_ = alignUp64(imageBytes_) + n;
+  const std::size_t imageBytes = imageSizeBytes(g, labels, meta);
+  const std::size_t goOffset = alignUp64(imageBytes);
+  mapBytes_ = goOffset + 64 + numVertices_;
   void* map = ::mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE,
                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  if (map == MAP_FAILED) {
-    throw std::runtime_error(std::string("DistVerifier: mmap failed: ") +
-                             std::strerror(errno));
-  }
+  if (map == MAP_FAILED) throwErrno("mmap");
   map_ = static_cast<char*>(map);
-  verdicts_ = reinterpret_cast<std::uint8_t*>(map_ + alignUp64(imageBytes_));
-  writeImage(map_, imageBytes_, g_, ids_, labels, meta);
+  go_ = reinterpret_cast<std::uint8_t*>(map_ + goOffset);
+  verdicts_ = go_ + 64;
 
-  // Open the image exactly as a worker will: the coordinator's own store is
-  // built over the validated mapping, so a writer bug fails HERE, loudly,
-  // instead of inside a child where it is harder to attribute.
-  const ImageView img = ImageView::open({map_, imageBytes_});
-  store_ = LabelStore(img.labelViews());
-
-  workers_.resize(static_cast<std::size_t>(options_.workers));
-  for (int k = 0; k < options_.workers; ++k) {
-    const auto [begin, end] = ParallelExecutor::shardRange(
-        n, static_cast<std::size_t>(options_.workers),
-        static_cast<std::size_t>(k));
-    workers_[static_cast<std::size_t>(k)].begin = begin;
-    workers_[static_cast<std::size_t>(k)].end = end;
-    spawn(k, /*firstSpawn=*/true);
+  int barrier[2] = {-1, -1};
+  try {
+    writeImage(map_, imageBytes, g, ids, labels, meta);
+    // Open the image exactly as a worker will, so a writer bug fails HERE,
+    // loudly, instead of as a worker's exit status.
+    (void)ImageView::open({map_, imageBytes});
+    // O_CLOEXEC keeps the write end out of anything the process execs; our
+    // own children drop their copy explicitly.
+    if (::pipe2(barrier, O_CLOEXEC) != 0) throwErrno("pipe");
+    barrierFd_ = barrier[1];
+    WorkerConfig cfg{map_, imageBytes, go_, verdicts_, 0, barrier[0]};
+    pids_.reserve(static_cast<std::size_t>(count));
+    for (int k = 0; k < count; ++k) {
+      cfg.partition = static_cast<std::uint32_t>(k);
+      const pid_t pid = ::fork();
+      if (pid < 0) throwErrno("fork");
+      if (pid == 0) {
+        ::close(barrierFd_);  // only the coordinator may hold the write end
+        runWorker(cfg);
+      }
+      pids_.push_back(pid);
+    }
+  } catch (...) {
+    if (barrier[0] >= 0) ::close(barrier[0]);
+    (void)releaseAndReap(/*sweep=*/false);
+    unmap();
+    throw;
   }
+  ::close(barrier[0]);
 }
 
 DistVerifier::~DistVerifier() {
-  shutdownWorkers();
+  if (!released_) (void)releaseAndReap(/*sweep=*/false);
+  unmap();
+}
+
+void DistVerifier::unmap() {
   if (map_ != nullptr) ::munmap(map_, mapBytes_);
+  map_ = nullptr;
 }
 
 std::pair<std::size_t, std::size_t> DistVerifier::partitionRange(
     int k) const {
-  const Worker& w = workers_[static_cast<std::size_t>(k)];
-  return {w.begin, w.end};
+  return ParallelExecutor::shardRange(numVertices_, pids_.size(),
+                                      static_cast<std::size_t>(k));
 }
 
-void DistVerifier::spawn(int k, bool firstSpawn) {
-  Worker& w = workers_[static_cast<std::size_t>(k)];
-  int sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-    throw std::runtime_error(std::string("DistVerifier: socketpair: ") +
-                             std::strerror(errno));
-  }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(sv[0]);
-    ::close(sv[1]);
-    throw std::runtime_error(std::string("DistVerifier: fork: ") +
-                             std::strerror(errno));
-  }
-  if (pid == 0) {
-    // Child: drop every coordinator-side fd (ours and the siblings') so a
-    // dead coordinator reads as EOF everywhere, then become the worker.
-    ::close(sv[0]);
-    for (const Worker& other : workers_) {
-      if (other.fd >= 0) ::close(other.fd);
+std::string DistVerifier::releaseAndReap(bool sweep) {
+  released_ = true;
+  std::atomic_ref<std::uint8_t>(*go_).store(sweep ? 1 : 0,
+                                            std::memory_order_release);
+  if (barrierFd_ >= 0) ::close(barrierFd_);
+  barrierFd_ = -1;
+  std::string failure;
+  for (std::size_t k = 0; k < pids_.size(); ++k) {
+    int status = 0;
+    pid_t reaped;
+    do {
+      reaped = ::waitpid(pids_[k], &status, 0);
+    } while (reaped < 0 && errno == EINTR);
+    std::string why;
+    if (reaped < 0) {
+      why = std::string("could not be reaped: ") + std::strerror(errno);
+    } else if (WIFSIGNALED(status)) {
+      ++stats_.workerDeaths;
+      why = "was killed by signal " + std::to_string(WTERMSIG(status));
+    } else if (WEXITSTATUS(status) != 0) {
+      why = "exited with status " + std::to_string(WEXITSTATUS(status));
     }
-    WorkerConfig cfg;
-    cfg.imageBase = map_;
-    cfg.imageBytes = imageBytes_;
-    cfg.verdicts = verdicts_;
-    cfg.partition = static_cast<std::uint32_t>(k);
-    cfg.controlFd = sv[1];
-    cfg.dieAfterVertices = (firstSpawn && k == options_.dieWorker)
-                               ? options_.dieAfterVertices
-                               : -1;
-    runWorker(cfg);  // never returns
-  }
-  ::close(sv[1]);
-  w.pid = pid;
-  w.fd = sv[0];
-}
-
-std::uint64_t DistVerifier::recover(int k) {
-  Worker& w = workers_[static_cast<std::size_t>(k)];
-  while (true) {
-    if (w.fd >= 0) {
-      ::close(w.fd);
-      w.fd = -1;
-    }
-    if (w.pid > 0) {
-      int status = 0;
-      ::waitpid(w.pid, &status, 0);
-      w.pid = -1;
-    }
-    ++stats_.workerDeaths;
-    if (restartsUsed_ >= options_.maxWorkerRestarts) {
-      throw WorkerFailure("dist: worker partition " + std::to_string(k) +
-                          " died and the restart budget (" +
-                          std::to_string(options_.maxWorkerRestarts) +
-                          ") is exhausted");
-    }
-    ++restartsUsed_;
-    ++stats_.workerRestarts;
-    spawn(k, /*firstSpawn=*/false);
-    // Replay = pristine image + the journal (latest bytes per edited edge,
-    // absolute rewrites) + a whole-partition sweep: subsumes whatever
-    // command the dead worker was running, so the caller just waits for
-    // THIS seq instead of resending the original.
-    Encoder enc;
-    enc.u64(static_cast<std::uint64_t>(WorkerCmd::kReplay));
-    const std::uint64_t seq = ++seq_;
-    enc.u64(seq);
-    enc.u64(journal_.size());
-    for (const auto& [edge, bytes] : journal_) {
-      enc.u64(static_cast<std::uint64_t>(edge));
-      enc.bytes(bytes);
-    }
-    if (sendFrame(w.fd, enc.str())) return seq;
-    // The replacement died before reading its replay; loop (budgeted).
-  }
-}
-
-void DistVerifier::roundTrip(
-    const std::vector<std::pair<int, std::string>>& sends) {
-  std::unordered_map<int, std::uint64_t> pending;  // worker -> expected seq
-  for (const auto& [k, payload] : sends) {
-    Decoder peek{std::string_view(payload)};
-    (void)peek.u64();  // cmd
-    const std::uint64_t seq = peek.u64();
-    if (sendFrame(workers_[static_cast<std::size_t>(k)].fd, payload)) {
-      pending[k] = seq;
-    } else {
-      pending[k] = recover(k);
+    if (failure.empty() && !why.empty()) {
+      failure = "dist: worker " + std::to_string(k) + " " + why;
     }
   }
-  while (!pending.empty()) {
-    std::vector<pollfd> fds;
-    std::vector<int> order;
-    fds.reserve(pending.size());
-    for (const auto& [k, seq] : pending) {
-      fds.push_back(pollfd{workers_[static_cast<std::size_t>(k)].fd, POLLIN,
-                           0});
-      order.push_back(k);
-    }
-    if (::poll(fds.data(), fds.size(), -1) < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("DistVerifier: poll: ") +
-                               std::strerror(errno));
-    }
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
-      const int k = order[i];
-      if ((fds[i].revents & POLLIN) != 0) {
-        // Data may precede the EOF of a worker that replied then died; a
-        // truncated frame (killed mid-write) reads as EOF here too.
-        const std::optional<std::string> frame =
-            recvFrame(workers_[static_cast<std::size_t>(k)].fd);
-        if (!frame) {
-          pending[k] = recover(k);
-          continue;
-        }
-        Decoder dec{std::string_view(*frame)};
-        const std::uint64_t seq = dec.u64();
-        const auto status = static_cast<WorkerStatus>(dec.u64());
-        const std::string message{dec.bytesView()};
-        if (status != WorkerStatus::kOk) {
-          // Permanent: a worker that RESPONDED with an error hit a real
-          // defect (bad image, unknown command), not a crash — retrying
-          // the identical exchange would fail identically.
-          throw std::runtime_error("dist worker " + std::to_string(k) +
-                                   ": " + message);
-        }
-        if (seq != pending[k]) {
-          throw std::runtime_error("dist: protocol error (seq mismatch)");
-        }
-        pending.erase(k);
-      } else if ((fds[i].revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
-        pending[k] = recover(k);
-      }
-    }
-  }
+  return failure;
 }
 
 SimulationResult DistVerifier::verifyAll() {
-  std::vector<std::pair<int, std::string>> sends;
-  sends.reserve(workers_.size());
-  Encoder enc;
-  for (int k = 0; k < workers(); ++k) {
-    enc.u64(static_cast<std::uint64_t>(WorkerCmd::kSweep));
-    enc.u64(++seq_);
-    sends.emplace_back(k, enc.take());
+  if (!released_) {
+    failure_ = releaseAndReap(/*sweep=*/true);
+    if (failure_.empty()) ++stats_.sweeps;
   }
-  roundTrip(sends);
-  swept_ = true;
-  ++stats_.sweeps;
-  return assemble();
-}
-
-SimulationResult DistVerifier::reverifyEdits(
-    std::span<const EdgeLabelEdit> edits) {
-  if (edits.empty() && swept_) return assemble();
-  // Coordinator first: applyEdits validates the whole batch up front, so a
-  // throwing batch reaches neither the journal nor any worker.
-  const std::vector<VertexId> dirty = store_.applyEdits(g_, edits);
-  for (const EdgeLabelEdit& e : edits) journal_[e.edge] = e.bytes;
-
-  // Route every edit to the partitions owning an endpoint, with its owned
-  // dirty rows.  Partitions are contiguous ascending ranges, so a sorted
-  // dirty set maps to per-worker subranges by binary search.
-  const int count = workers();
-  auto ownerOf = [this, count](VertexId v) {
-    int lo = 0;
-    int hi = count - 1;
-    while (lo < hi) {
-      const int mid = (lo + hi) / 2;
-      if (static_cast<std::size_t>(v) <
-          workers_[static_cast<std::size_t>(mid)].end) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    return lo;
-  };
-  std::vector<std::vector<EdgeLabelEdit>> editsFor(
-      static_cast<std::size_t>(count));
-  for (const EdgeLabelEdit& e : edits) {
-    const Edge& edge = g_.edge(e.edge);
-    const int a = ownerOf(edge.u);
-    const int b = ownerOf(edge.v);
-    editsFor[static_cast<std::size_t>(a)].push_back(e);
-    if (b != a) editsFor[static_cast<std::size_t>(b)].push_back(e);
-  }
-
-  const bool recheck = swept_;
-  std::vector<std::pair<int, std::string>> sends;
-  Encoder enc;
-  for (int k = 0; k < count; ++k) {
-    const Worker& w = workers_[static_cast<std::size_t>(k)];
-    if (editsFor[static_cast<std::size_t>(k)].empty()) {
-      if (recheck) ++stats_.skippedWorkers;
-      continue;
-    }
-    const auto lo = std::lower_bound(dirty.begin(), dirty.end(),
-                                     static_cast<VertexId>(w.begin));
-    const auto hi = std::lower_bound(lo, dirty.end(),
-                                     static_cast<VertexId>(w.end));
-    enc.u64(static_cast<std::uint64_t>(WorkerCmd::kReverify));
-    enc.u64(++seq_);
-    encodeEdits(enc, editsFor[static_cast<std::size_t>(k)]);
-    enc.u64(static_cast<std::uint64_t>(hi - lo));
-    for (auto it = lo; it != hi; ++it) {
-      enc.u64(static_cast<std::uint64_t>(*it));
-    }
-    enc.boolean(recheck);
-    sends.emplace_back(k, enc.take());
-    if (recheck) ++stats_.routedBatches;
-  }
-  roundTrip(sends);
-  if (!swept_) return verifyAll();  // edits staged; now the initial sweep
-  ++stats_.reverifies;
+  if (!failure_.empty()) throw std::runtime_error(failure_);
   return assemble();
 }
 
 SimulationResult DistVerifier::assemble() const {
   SimulationResult r;
-  r.maxLabelBits = store_.maxLabelBits();
-  r.totalLabelBits = store_.totalLabelBits();
-  const auto n = static_cast<std::size_t>(g_.numVertices());
-  for (std::size_t vi = 0; vi < n; ++vi) {
+  r.maxLabelBits = maxLabelBits_;
+  r.totalLabelBits = totalLabelBits_;
+  for (std::size_t vi = 0; vi < numVertices_; ++vi) {
     if (verdicts_[vi] == 0) r.rejecting.push_back(static_cast<VertexId>(vi));
   }
   r.allAccept = r.rejecting.empty();
   return r;
-}
-
-void DistVerifier::shutdownWorkers() {
-  Encoder enc;
-  for (Worker& w : workers_) {
-    if (w.fd < 0) continue;
-    enc.u64(static_cast<std::uint64_t>(WorkerCmd::kExit));
-    enc.u64(++seq_);
-    sendFrame(w.fd, enc.take());  // best-effort; EOF also exits the worker
-    ::close(w.fd);
-    w.fd = -1;
-  }
-  for (Worker& w : workers_) {
-    if (w.pid > 0) {
-      int status = 0;
-      ::waitpid(w.pid, &status, 0);
-      w.pid = -1;
-    }
-  }
 }
 
 }  // namespace lanecert::dist

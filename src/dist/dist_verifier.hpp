@@ -8,65 +8,53 @@
 // that: it partitions the vertex range by the SAME deterministic shard
 // order every in-process sweep uses (ParallelExecutor::shardRange(n, K, k)
 // is partition k of K), forks K owner processes over one anonymous shared
-// mapping, runs per-process sweeps through the unmodified
+// mapping, runs one sweep per process through the unmodified
 // CoreVerifierEngine, and assembles the shared verdict plane in ascending
 // vertex order — so the SimulationResult is BYTE-IDENTICAL to the
 // single-process VerifySession at every (K, threadsPerWorker) point.
-// That equivalence is the subsystem's contract, asserted by
-// tests/test_dist.cpp across K ∈ {1,2,4} × t ∈ {1,2,4} with edit batches
-// that deliberately straddle partition boundaries.
+// tests/test_dist.cpp asserts that across K ∈ {1,2,4} × t ∈ {1,2,4}, on
+// honest labels and on corruptions that straddle partition boundaries.
 //
 // Memory layout (one mmap(MAP_SHARED | MAP_ANONYMOUS) built before fork):
 //
 //   [ image: header + sections (dist/image.hpp, snapshot-style framing) ]
 //   [ pad to 64 bytes ]
+//   [ go flag: 1 byte, padded to 64 ]
 //   [ verdict plane: n bytes, 1 = accept, worker k writes only its slice ]
 //
-// The image is written once and never mutated; label EDITS never write
-// through it (LabelStore repoints edited labels into process-local epoch
-// storage), so a re-forked worker always recovers from pristine bytes plus
-// the coordinator's edit journal.  The verdict plane is excluded from the
-// image CRC because workers write it concurrently — each byte has exactly
-// one writer, so the merged plane is well-defined without synchronization.
+// The image is written once and never mutated.  The verdict plane is
+// excluded from the image CRC because workers write it concurrently — each
+// byte has exactly one writer, so the merged plane is well-defined without
+// synchronization.
 //
-// Incremental re-verification composes through the same machinery as
-// VerifySession: the coordinator keeps its own full LabelStore + Graph, so
-// applyEdits yields the exact dirty vertex set and exact bit stats; each
-// edit batch routes ONLY to the partitions owning a dirty endpoint
-// (skipped workers are never woken — the stats prove it), and each owner
-// refreshes + rechecks just its dirty rows.
+// Lifecycle: each forked worker validates the image, resolves the property
+// and builds the sorted label rows of its partition, then blocks on a start
+// barrier — the read end of a pipe whose only write end the coordinator
+// holds.  Closing that end releases every worker at once; the go flag
+// (written first) tells them whether to sweep or to exit without one.
+// verifyAll sets it, releases, and reaps every worker with waitpid: a
+// worker killed by a signal or exiting non-zero fails the call with
+// std::runtime_error, after all K are reaped, so the caller never sees a
+// partial verdict plane.  The coordinator never writes to a worker, so a
+// dead worker cannot raise SIGPIPE in it.
 //
-// Worker death (crash, OOM-kill, SIGKILL drill): detected as EOF/HUP on the
-// control socket — mid-sweep, mid-frame, or between ops.  Recovery re-forks
-// the partition from the shared image, replays the journal (latest bytes
-// per edited edge — absolute rewrites, so replay order is irrelevant), and
-// resweeps the whole partition, which subsumes whatever command was in
-// flight.  Restarts are budgeted (DistOptions::maxWorkerRestarts); an
-// exhausted budget throws WorkerFailure, which the serve layer maps onto
-// its PR 7 failure taxonomy as a TransientError (serve/service.cpp
-// runDistVerify) for bounded job-level retry.
-//
-// Fork discipline: fork() without exec from a possibly-threaded parent
-// (the serving pool).  Only the calling thread exists in the child; glibc's
-// malloc pthread_atfork handlers make heap allocation safe there, and the
-// child touches only freshly built state plus the shared mapping before
-// _exit — it never returns into the parent's stack or runs its atexit
-// handlers.
+// Fork discipline: fork() without exec from a possibly-threaded parent.
+// Only the calling thread exists in the child; glibc's malloc pthread_atfork
+// handlers make heap allocation safe there, and the child touches only
+// freshly built state plus the shared mapping before _exit — it never
+// returns into the parent's stack or runs its atexit handlers.
 
 #include <sys/types.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/verifier.hpp"
 #include "graph/graph.hpp"
 #include "pls/scheme.hpp"
-#include "runtime/label_store.hpp"
 
 namespace lanecert::dist {
 
@@ -75,73 +63,43 @@ struct DistOptions {
   int workers = 4;
   /// Threads of each worker's private executor (<= 0 = hardware).
   int threadsPerWorker = 1;
-  /// Worker re-forks tolerated over the verifier's lifetime before an
-  /// operation throws WorkerFailure.
-  int maxWorkerRestarts = 2;
-  /// Test seam: partition that SIGKILLs itself mid-sweep (first spawn
-  /// only — the re-forked replacement survives).  -1 = off.
-  int dieWorker = -1;
-  /// ...after this many vertex checks of its sweep.
-  long long dieAfterVertices = 0;
 };
 
-/// Monotonic counters (snapshot via stats()).
+/// Counters (snapshot via stats()).
 struct DistStats {
-  std::uint64_t sweeps = 0;            ///< full verdict-plane sweeps
-  std::uint64_t reverifies = 0;        ///< targeted dirty-row rounds
-  std::uint64_t workerDeaths = 0;      ///< EOF/HUP detections
-  std::uint64_t workerRestarts = 0;    ///< successful re-fork + replay
-  std::uint64_t routedBatches = 0;     ///< per-worker reverify commands sent
-  std::uint64_t skippedWorkers = 0;    ///< workers a reverify never woke
-};
-
-/// A worker partition died and the restart budget is exhausted.  Retryable
-/// at the job level: the verdict plane holds no partial truth a retry could
-/// double-apply (every retry re-forks from the pristine image + journal).
-class WorkerFailure : public std::runtime_error {
- public:
-  explicit WorkerFailure(const std::string& what)
-      : std::runtime_error(what) {}
+  std::uint64_t sweeps = 0;        ///< completed sweeps (0 or 1)
+  std::uint64_t workerDeaths = 0;  ///< workers reaped as killed by a signal
 };
 
 class DistVerifier {
  public:
   /// Builds the shared image (labels are READ once into the mapping, never
-  /// retained), forks the workers, and validates the configuration.
-  /// Throws std::invalid_argument for an unresolvable property name or a
-  /// label/edge count mismatch; std::runtime_error when the OS denies the
-  /// mapping, socketpairs, or forks.
-  DistVerifier(Graph g, IdAssignment ids,
-               const std::vector<std::string>& labels, std::string property,
-               CoreVerifierParams params = {}, DistOptions options = {});
+  /// retained) and forks the workers, which prepare their partitions and
+  /// wait for verifyAll.  Throws std::invalid_argument for an unresolvable
+  /// property name or a label/edge count mismatch; std::runtime_error when
+  /// the OS denies the mapping, the pipe, or a fork.
+  DistVerifier(const Graph& g, const IdAssignment& ids,
+               const std::vector<std::string>& labels,
+               const std::string& property, CoreVerifierParams params = {},
+               DistOptions options = {});
+  /// Releases any workers verifyAll has not (they exit without a sweep),
+  /// reaps them, and unmaps the image.
   ~DistVerifier();
 
   DistVerifier(const DistVerifier&) = delete;
   DistVerifier& operator=(const DistVerifier&) = delete;
 
-  /// Full distributed sweep; byte-identical to VerifySession::verifyAll
-  /// over the same content at every (K, threads) point.
+  /// Runs the one distributed sweep; byte-identical to
+  /// VerifySession::verifyAll over the same content at every (K, threads)
+  /// point.  Later calls return the same result.  Throws std::runtime_error
+  /// when a worker was killed or exited non-zero (every worker is reaped
+  /// first; later calls throw the same error).
   SimulationResult verifyAll();
 
-  /// Applies the batch (coordinator store + owning workers), re-checks the
-  /// dirty rows, and returns the whole-graph result — byte-identical to
-  /// VerifySession::reverifyEdits.  Before the first sweep this stages the
-  /// edits and falls back to a full sweep, mirroring the session.  Throws
-  /// std::out_of_range for an out-of-range edge id (nothing applied).
-  SimulationResult reverifyEdits(std::span<const EdgeLabelEdit> edits);
-
-  /// True once a full sweep completed.
-  [[nodiscard]] bool swept() const { return swept_; }
-  /// Coordinator store version: 0 until the first edit batch.
-  [[nodiscard]] std::uint64_t storeVersion() const {
-    return store_.version();
-  }
-  [[nodiscard]] int workers() const {
-    return static_cast<int>(workers_.size());
-  }
-  /// Live pid of partition k (the SIGKILL drills aim here).
+  [[nodiscard]] int workers() const { return static_cast<int>(pids_.size()); }
+  /// Pid of partition k's worker process.
   [[nodiscard]] pid_t workerPid(int k) const {
-    return workers_[static_cast<std::size_t>(k)].pid;
+    return pids_[static_cast<std::size_t>(k)];
   }
   /// Owned vertex range of partition k — shardRange(n, K, k).
   [[nodiscard]] std::pair<std::size_t, std::size_t> partitionRange(
@@ -149,48 +107,25 @@ class DistVerifier {
   [[nodiscard]] const DistStats& stats() const { return stats_; }
 
  private:
-  struct Worker {
-    pid_t pid = -1;
-    int fd = -1;  ///< coordinator end of the control socketpair
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-
-  void spawn(int k, bool firstSpawn);
-  /// Death path: reap, budget-check, re-fork, send the journal replay.
-  /// Returns the replay's seq (the command now pending on the new worker).
-  std::uint64_t recover(int k);
-  /// Sends `payload` to each worker in `targets` and blocks until every
-  /// one replied ok — absorbing deaths via recover() along the way.
-  void roundTrip(const std::vector<std::pair<int, std::string>>& sends);
+  /// Sets the go flag, closes the barrier's write end, and reaps every
+  /// spawned worker.  Returns the first failure ("" when all exited 0).
+  std::string releaseAndReap(bool sweep);
+  void unmap();
   [[nodiscard]] SimulationResult assemble() const;
-  void shutdownWorkers();
 
-  Graph g_;
-  IdAssignment ids_;
-  std::string property_;
-  CoreVerifierParams params_;
-  DistOptions options_;
+  std::size_t numVertices_ = 0;
+  std::size_t maxLabelBits_ = 0;
+  std::size_t totalLabelBits_ = 0;
 
-  char* map_ = nullptr;  ///< the shared mapping (image + verdict plane)
+  char* map_ = nullptr;  ///< the shared mapping (image + go + verdicts)
   std::size_t mapBytes_ = 0;
-  std::size_t imageBytes_ = 0;
+  std::uint8_t* go_ = nullptr;        ///< 1 = sweep, 0 = exit without one
   std::uint8_t* verdicts_ = nullptr;  ///< n bytes inside the mapping
+  int barrierFd_ = -1;                ///< write end of the start barrier
 
-  /// Full-graph store over views INTO the image blob: the coordinator's
-  /// authoritative mirror.  applyEdits here yields the exact dirty sets
-  /// and the exact bit stats the assembled result reports — the same
-  /// store/edit machinery VerifySession runs, hence byte-identity.
-  LabelStore store_;
-  /// Latest bytes per ever-edited edge — what a re-forked worker replays on
-  /// top of the pristine image.  Absolute rewrites: order-free, bounded by
-  /// the edge count however long the edit stream runs.
-  std::unordered_map<EdgeId, std::string> journal_;
-
-  std::vector<Worker> workers_;
-  std::uint64_t seq_ = 0;
-  int restartsUsed_ = 0;
-  bool swept_ = false;
+  std::vector<pid_t> pids_;  ///< partition k's worker is pids_[k]
+  bool released_ = false;
+  std::string failure_;  ///< why the sweep failed; empty on success
   DistStats stats_;
 };
 

@@ -23,11 +23,6 @@ void storeU64(char* p, std::uint64_t x) { std::memcpy(p, &x, 8); }
   std::memcpy(&x, p, 4);
   return x;
 }
-[[nodiscard]] std::uint64_t loadU64(const char* p) {
-  std::uint64_t x;
-  std::memcpy(&x, p, 8);
-  return x;
-}
 
 [[nodiscard]] std::string encodeMeta(const ImageMeta& meta) {
   Encoder enc;

@@ -4,14 +4,14 @@
 // process needs — ids, incident-arc CSR topology, label bytes, verifier
 // parameters, the property's registry name — into ONE anonymous shared
 // mapping built BEFORE forking, so workers inherit the bytes at zero copy
-// cost and zero serialization latency on the re-fork (recovery) path.
+// cost and zero serialization latency.
 //
 // The container deliberately reuses the snapshot framing discipline
 // (snapshot/format.hpp): a fixed little-endian header, a section table, and
 // contiguous (8-byte aligned) payloads, with magic + version + content hash
 // + params fingerprint + per-section CRC-32 all validated BEFORE any
 // payload byte is interpreted.  A freshly forked worker trusts nothing: the
-// image is revalidated on every spawn, so a coordinator bug (or a stray
+// image is revalidated by every worker, so a coordinator bug (or a stray
 // write through the shared mapping) rejects loudly at worker startup
 // instead of silently corrupting verdicts — the same "hostile bytes reject
 // before proportional allocation" contract the snapshot loader and the wire
@@ -41,9 +41,7 @@
 //
 // Multi-byte integers are read through memcpy loads (the mapping is only
 // guaranteed 8-byte aligned per section), and label views alias the blob
-// directly — LabelStore's string_view constructor builds over them with no
-// per-label copies, which is what makes worker startup O(partition), not
-// O(graph).
+// directly, so a worker builds its label rows with no per-label copies.
 
 #include <cstddef>
 #include <cstdint>
@@ -130,8 +128,8 @@ class ImageView {
     const std::uint64_t hi = loadU64(labelOff_ + (e + 1) * 8);
     return {labelBytes_ + lo, static_cast<std::size_t>(hi - lo)};
   }
-  /// All m label views in edge order — the LabelStore view constructor's
-  /// input.  The views alias the mapping for the store's whole lifetime.
+  /// All m label views in edge order; they alias the mapping, which must
+  /// outlive them.
   [[nodiscard]] std::vector<std::string_view> labelViews() const;
 
  private:

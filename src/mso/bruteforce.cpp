@@ -25,7 +25,8 @@ bool colorBacktrack(const Graph& g, int q, std::vector<int>& color, VertexId v) 
   for (int c = 0; c < q; ++c) {
     bool ok = true;
     for (const Arc& a : g.arcs(v)) {
-      if (a.to < v && color[static_cast<std::size_t>(a.to)] == c) {
+      if (static_cast<std::size_t>(a.to) < static_cast<std::size_t>(v) &&
+          color[static_cast<std::size_t>(a.to)] == c) {
         ok = false;
         break;
       }

@@ -17,16 +17,11 @@ LabelStore::LabelStore(const std::vector<std::string>& labels) {
   slot_.assign(labels.size(), -1);
 }
 
-LabelStore::LabelStore(std::vector<std::string_view> views)
-    : views_(std::move(views)) {
-  for (const std::string_view v : views_) {
-    maxBits_ = std::max(maxBits_, v.size() * 8);
-    totalBits_ += v.size() * 8;
-  }
-  slot_.assign(views_.size(), -1);
-}
-
-void LabelStore::rewriteLabels(std::span<const EdgeLabelEdit> edits) {
+std::vector<VertexId> LabelStore::applyEdits(
+    const Graph& g, std::span<const EdgeLabelEdit> edits) {
+  // An empty batch mutates nothing — same store, same version (the serving
+  // layer uses empty batches as "run the initial sweep" requests).
+  if (edits.empty()) return {};
   // Validate BEFORE mutating: the only failure mode is an out-of-range
   // edge id, so checking up front makes the whole batch all-or-nothing (a
   // throw never leaves the store half-edited with stale index rows).
@@ -64,14 +59,6 @@ void LabelStore::rewriteLabels(std::span<const EdgeLabelEdit> edits) {
     totalBits_ += v.size() * 8;
   }
   ++version_;
-}
-
-std::vector<VertexId> LabelStore::applyEdits(
-    const Graph& g, std::span<const EdgeLabelEdit> edits) {
-  // An empty batch mutates nothing — same store, same version (the serving
-  // layer uses empty batches as "run the initial sweep" requests).
-  if (edits.empty()) return {};
-  rewriteLabels(edits);
   std::vector<VertexId> dirty;
   dirty.reserve(edits.size() * 2);
   for (const EdgeLabelEdit& edit : edits) {
@@ -82,11 +69,6 @@ std::vector<VertexId> LabelStore::applyEdits(
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   return dirty;
-}
-
-void LabelStore::applyEditsBlind(std::span<const EdgeLabelEdit> edits) {
-  if (edits.empty()) return;
-  rewriteLabels(edits);
 }
 
 std::size_t LabelStore::ownedLabels() const {

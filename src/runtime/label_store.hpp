@@ -59,12 +59,6 @@ class LabelStore {
  public:
   LabelStore() = default;
   explicit LabelStore(const std::vector<std::string>& labels);
-  /// Builds over caller-provided VIEWS (e.g. slices of a shared-memory
-  /// image, src/dist): the pointed-to bytes must stay alive and unmodified
-  /// for the store's lifetime, exactly like the label-vector constructor.
-  /// Edits repoint individual labels into store-owned epoch storage as
-  /// usual; the underlying image bytes are never written through.
-  explicit LabelStore(std::vector<std::string_view> views);
 
   // Movable but not copyable: after applyEdits, views_ aliases the OWNED
   // epoch deque, so a member-wise copy would alias the source's storage
@@ -100,13 +94,6 @@ class LabelStore {
   std::vector<VertexId> applyEdits(const Graph& g,
                                    std::span<const EdgeLabelEdit> edits);
 
-  /// applyEdits without a topology: identical label rewrites, version bump,
-  /// and bit-stat recompute, but NO dirty-set computation.  For processes
-  /// that hold labels without the graph (dist workers receive their dirty
-  /// rows from the coordinator, which owns the topology).  Same
-  /// all-or-nothing validation: a throwing batch applies nothing.
-  void applyEditsBlind(std::span<const EdgeLabelEdit> edits);
-
   /// Epoch slots currently held: live (referenced by some label) plus
   /// garbage (superseded by a later size-changing edit of the same label).
   /// Grows monotonically between compactions under a sustained edit
@@ -128,10 +115,6 @@ class LabelStore {
   std::vector<std::size_t> compactEpochs();
 
  private:
-  /// Shared body of applyEdits/applyEditsBlind: validates, rewrites,
-  /// recomputes bit stats, bumps the version.  Precondition: non-empty.
-  void rewriteLabels(std::span<const EdgeLabelEdit> edits);
-
   std::vector<std::string_view> views_;
   /// Label index -> slot in `owned_`, or -1 while the label still aliases
   /// the construction-time vector.

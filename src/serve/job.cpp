@@ -1,8 +1,5 @@
 #include "serve/job.hpp"
 
-#include <stdexcept>
-
-#include "mso/properties.hpp"
 #include "pls/codec.hpp"
 
 namespace lanecert::serve {
@@ -53,14 +50,6 @@ std::size_t estimatedCost(const VerifyJob& job) {
   return static_cast<std::size_t>(job.graph.numVertices()) + bytes / 16;
 }
 
-std::size_t estimatedCost(const DistVerifyJob& job) {
-  std::size_t bytes = 0;
-  if (job.labels) {
-    for (const std::string& l : *job.labels) bytes += l.size();
-  }
-  return static_cast<std::size_t>(job.graph.numVertices()) + bytes / 16;
-}
-
 std::size_t estimatedCost(const ReverifyJob& job) {
   // Two dirty endpoints per edited edge, plus decode volume on the same
   // bytes/16 scale as full verification — only the ORDER matters, and this
@@ -88,52 +77,24 @@ std::string proveJobKey(const ProveJob& job) {
   return enc.take();
 }
 
-namespace {
-
-/// Shared layout of verifyJobKey / distVerifyJobKey: emitting one byte
-/// sequence for both request kinds is what lets them coalesce — the dist
-/// layer's byte-identity contract makes sharing the cached result sound.
-std::string verifyContentKey(const Graph& g, const IdAssignment& ids,
-                             const std::string& propertyName,
-                             const CoreVerifierParams& params,
-                             const std::vector<std::string>* labels,
-                             std::uint64_t labelsVersion) {
+std::string verifyJobKey(const VerifyJob& job) {
   Encoder enc;
   enc.bytes("verify");
-  encodeGraph(enc, g);
-  encodeIds(enc, ids);
-  enc.bytes(propertyName);
-  enc.u64(static_cast<std::uint64_t>(params.maxLanes));
-  enc.u64(static_cast<std::uint64_t>(params.maxThrough));
+  encodeGraph(enc, job.graph);
+  encodeIds(enc, job.ids);
+  enc.bytes(job.property->name());
+  enc.u64(static_cast<std::uint64_t>(job.params.maxLanes));
+  enc.u64(static_cast<std::uint64_t>(job.params.maxThrough));
   // Payload identity, not payload bytes (see header).  The service pins the
   // payload of every cached entry, so a live key never aliases a freed and
   // reallocated buffer.
-  enc.u64(reinterpret_cast<std::uintptr_t>(labels));
-  enc.u64(labels ? labels->size() : 0);
+  enc.u64(reinterpret_cast<std::uintptr_t>(job.labels.get()));
+  enc.u64(job.labels ? job.labels->size() : 0);
   // Content version: identity pins the BUFFER, the version pins the BYTES
   // in it.  A store-backed payload edited in place resubmits with a bumped
   // version and misses the stale entry instead of replaying its verdict.
-  enc.u64(labelsVersion);
+  enc.u64(job.labelsVersion);
   return enc.take();
-}
-
-}  // namespace
-
-std::string verifyJobKey(const VerifyJob& job) {
-  return verifyContentKey(job.graph, job.ids, job.property->name(),
-                          job.params, job.labels.get(), job.labelsVersion);
-}
-
-std::string distVerifyJobKey(const DistVerifyJob& job) {
-  const PropertyPtr prop = propertyByName(job.property);
-  if (!prop) {
-    throw std::invalid_argument("DistVerifyJob: unknown property '" +
-                                job.property + "'");
-  }
-  // workerProcesses / threadsPerWorker / maxWorkerRestarts are excluded on
-  // purpose: the dist contract makes the result independent of all three.
-  return verifyContentKey(job.graph, job.ids, prop->name(), job.params,
-                          job.labels.get(), job.labelsVersion);
 }
 
 std::string reverifyJobKey(const ReverifyJob& job) {

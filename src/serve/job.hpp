@@ -88,38 +88,6 @@ struct VerifyJob {
   JobOptions options;
 };
 
-/// "Run the MULTI-PROCESS distributed verifier over this labeling" as a
-/// request (src/dist): the coordinator forks `workerProcesses` owner
-/// partitions over a shared-memory image and merges their verdict plane.
-/// Same payload contract as VerifyJob (shared immutable labels, identity +
-/// version keyed).  The property rides as its REGISTRY NAME
-/// (lanecert::propertyByName) because worker processes re-resolve it on
-/// their side of the fork; submit validates the name synchronously.
-///
-/// Results are byte-identical to VerifyJob over the same content at every
-/// (workerProcesses, threadsPerWorker) point — that is the dist layer's
-/// contract — so dist and in-process verify requests share ONE result-cache
-/// entry (distVerifyJobKey emits the verify key layout, with the process
-/// knobs deliberately excluded).
-struct DistVerifyJob {
-  Graph graph;
-  IdAssignment ids;
-  std::shared_ptr<const std::vector<std::string>> labels;  ///< per EdgeId
-  std::string property;  ///< registry name, e.g. "connectivity", "vc:3"
-  CoreVerifierParams params{};
-  /// Content version of the payload; see VerifyJob::labelsVersion.
-  std::uint64_t labelsVersion = 0;
-  /// Partition count K (owner processes forked by the coordinator).
-  int workerProcesses = 4;
-  /// Threads of each worker's private executor.
-  int threadsPerWorker = 1;
-  /// Worker re-forks tolerated INSIDE one attempt before the attempt fails
-  /// with a TransientError (dist::DistOptions::maxWorkerRestarts);
-  /// options.maxAttempts then bounds whole-job retries on top.
-  int maxWorkerRestarts = 2;
-  JobOptions options;
-};
-
 /// "Apply this edit batch to an open verification session and re-check the
 /// dirty vertices" as a request.  The session handle comes from
 /// LaneCertService::openVerifySession; edits are applied in order.  An
@@ -139,9 +107,6 @@ struct ReverifyJob {
 /// for verification — chain validation cost tracks label volume).
 [[nodiscard]] std::size_t estimatedCost(const ProveJob& job);
 [[nodiscard]] std::size_t estimatedCost(const VerifyJob& job);
-/// A dist job checks the same rows over the same bytes as an in-process
-/// verify — the processes change WHERE, not how much.
-[[nodiscard]] std::size_t estimatedCost(const DistVerifyJob& job);
 /// Reverify cost tracks the edit batch (dirty rows re-checked + new label
 /// bytes decoded), not the session's full graph — that is the point.  The
 /// service substitutes the payload's full-sweep cost for a session's FIRST
@@ -166,13 +131,6 @@ struct ReverifyJob {
 /// wrong answer.
 [[nodiscard]] std::string proveJobKey(const ProveJob& job);
 [[nodiscard]] std::string verifyJobKey(const VerifyJob& job);
-/// Emits the SAME bytes verifyJobKey would for the equivalent in-process
-/// request (the resolved property's name() stands in for the PropertyPtr;
-/// process-topology knobs are excluded because they cannot change the
-/// output).  Equal keys, byte-identical results: a dist job and a plain
-/// verify job over one payload coalesce onto one cache entry in either
-/// order.  Requires a resolvable property name (submit checks first).
-[[nodiscard]] std::string distVerifyJobKey(const DistVerifyJob& job);
 /// Identity of a reverify request: session handle + exact edit bytes.
 /// Reverify results are NEVER result-cached (each batch advances session
 /// state), but duplicate submissions of the same batch at the same queue

@@ -6,11 +6,18 @@
 #include <utility>
 
 #include "core/verifier.hpp"
-#include "dist/dist_verifier.hpp"
 #include "serve/fault.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace lanecert::serve {
+
+namespace {
+
+/// Completed plans and completed results kept per cache (FIFO eviction).
+constexpr std::size_t kMaxCachedPlans = 16;
+constexpr std::size_t kMaxCachedResults = 64;
+
+}  // namespace
 
 LaneCertService::LaneCertService(ServiceOptions options)
     : options_(options),
@@ -104,10 +111,7 @@ void LaneCertService::publishPlan(
     const auto [it, inserted] = plans_.try_emplace(key, plan);
     if (inserted) {
       planOrder_.push_back(key);
-      // Capacity clamps to >= 1 so eviction can never remove the entry
-      // just inserted.
-      const std::size_t cap = std::max<std::size_t>(1, options_.maxCachedPlans);
-      while (planOrder_.size() > cap) {
+      while (planOrder_.size() > kMaxCachedPlans) {
         plans_.erase(planOrder_.front());
         planOrder_.pop_front();
       }
@@ -125,12 +129,11 @@ CoreProveResult LaneCertService::runProve(const ProveJob& job) {
     return proveCore(job.graph, job.ids, *job.property, rep, 1);
   }
   ParallelExecutor exec(pool_);
-  const std::string key =
-      options_.enablePlanCache ? planKey(job.graph, rep) : std::string{};
+  const std::string key = planKey(job.graph, rep);
   std::shared_ptr<const ProvePlan> plan;
   std::shared_future<std::shared_ptr<const ProvePlan>> inFlight;
   std::shared_ptr<std::promise<std::shared_ptr<const ProvePlan>>> promise;
-  if (options_.enablePlanCache) {
+  {
     std::lock_guard<std::mutex> lock(planMu_);
     const auto it = plans_.find(key);
     if (it != plans_.end()) {
@@ -160,13 +163,13 @@ CoreProveResult LaneCertService::runProve(const ProveJob& job) {
     plan = inFlight.get();
     return proveCore(job.graph, job.ids, *job.property, *plan, exec);
   }
-  // Builder role (or no plan cache): answer from the snapshot store when a
-  // valid on-disk plan exists (warm start: the whole plan stage — including
-  // the interval decomposition — is skipped), otherwise build it.
-  // Coalesced waiters get the plan through the promise either way, before
-  // this job's own waves start.
+  // Builder role: answer from the snapshot store when a valid on-disk plan
+  // exists (warm start: the whole plan stage — including the interval
+  // decomposition — is skipped), otherwise build it.  Coalesced waiters get
+  // the plan through the promise either way, before this job's own waves
+  // start.
   if (auto snap = loadSnapshot(job.graph, rep)) {
-    if (promise) publishPlan(key, promise, snap);
+    publishPlan(key, promise, snap);
     return proveCore(job.graph, job.ids, *job.property, *snap, exec);
   }
   bump(&ServiceStats::planBuilds);
@@ -176,15 +179,13 @@ CoreProveResult LaneCertService::runProve(const ProveJob& job) {
     FaultInjector::fire(FaultSite::kPlanBuild);
     plan = std::make_shared<const ProvePlan>(
         buildProvePlan(job.graph, rep, &exec));
-    if (promise) publishPlan(key, promise, plan);
+    publishPlan(key, promise, plan);
   } catch (...) {
-    if (promise) {
-      {
-        std::lock_guard<std::mutex> lock(planMu_);
-        planInFlight_.erase(key);
-      }
-      promise->set_exception(std::current_exception());
+    {
+      std::lock_guard<std::mutex> lock(planMu_);
+      planInFlight_.erase(key);
     }
+    promise->set_exception(std::current_exception());
     throw;
   }
   // Write-behind: encode + write happen on the store's own writer thread,
@@ -206,49 +207,6 @@ SimulationResult LaneCertService::runVerify(const VerifyJob& job) {
                             makeCoreVerifier(job.property, job.params), exec);
 }
 
-SimulationResult LaneCertService::runDistVerify(const DistVerifyJob& job) {
-  FaultInjector::fire(FaultSite::kDecode);
-  dist::DistOptions opts;
-  opts.workers = job.workerProcesses;
-  opts.threadsPerWorker = job.threadsPerWorker;
-  opts.maxWorkerRestarts = job.maxWorkerRestarts;
-  // One ATTEMPT = a whole coordinator lifetime: image build, K forks,
-  // sweep, teardown.  Inside it, worker deaths are absorbed by re-fork +
-  // journal replay up to maxWorkerRestarts; WorkerFailure means that
-  // budget is gone, which maps onto the taxonomy as TransientError — a
-  // fresh attempt re-forks everything from scratch and cannot double-apply
-  // anything (the verdict plane is rebuilt whole).  Permanent errors
-  // (unknown property, label mismatch) fail on the first attempt.
-  const int attempts = std::max(1, job.options.maxAttempts);
-  std::chrono::milliseconds backoff = job.options.retryBackoff;
-  for (int attempt = 0;; ++attempt) {
-    if (attempt > 0) {
-      bump(&ServiceStats::transientRetries);
-      std::this_thread::sleep_for(backoff);
-      backoff *= 2;
-    }
-    try {
-      FaultInjector::fire(FaultSite::kSweep);
-      dist::DistVerifier verifier(job.graph, job.ids, *job.labels,
-                                  job.property, job.params, opts);
-      SimulationResult result = verifier.verifyAll();
-      const dist::DistStats& ds = verifier.stats();
-      std::lock_guard<std::mutex> lock(statsMu_);
-      stats_.distWorkerDeaths += ds.workerDeaths;
-      stats_.distWorkerRestarts += ds.workerRestarts;
-      return result;
-    } catch (const dist::WorkerFailure& e) {
-      {
-        std::lock_guard<std::mutex> lock(statsMu_);
-        ++stats_.distWorkerDeaths;  // the unabsorbed death that ended it
-      }
-      if (attempt + 1 >= attempts) throw TransientError(e.what());
-    } catch (const TransientError&) {
-      if (attempt + 1 >= attempts) throw;
-    }
-  }
-}
-
 template <typename T>
 void LaneCertService::finishCacheEntry(ResultCache<T>& cache,
                                        const std::string& key, bool success) {
@@ -261,7 +219,7 @@ void LaneCertService::finishCacheEntry(ResultCache<T>& cache,
     return;
   }
   cache.completed.push_back(key);
-  if (cache.completed.size() > options_.maxCachedResults) {
+  if (cache.completed.size() > kMaxCachedResults) {
     cache.entries.erase(cache.completed.front());
     cache.completed.pop_front();
   }
@@ -520,32 +478,6 @@ std::shared_future<SimulationResult> LaneCertService::submitVerify(
       [this](const VerifyJob& j) {
         auto result = runVerify(j);
         bump(&ServiceStats::verifyJobsCompleted);
-        return result;
-      });
-}
-
-std::shared_future<SimulationResult> LaneCertService::submitDistVerify(
-    DistVerifyJob job) {
-  admitOrReject();
-  if (!job.labels) {
-    throw std::invalid_argument("DistVerifyJob: null label payload");
-  }
-  // distVerifyJobKey resolves the property and throws invalid_argument for
-  // an unknown name — submit-time, synchronously, like a null payload:
-  // retrying an unresolvable name can never succeed, so it must not burn a
-  // scheduler slot.  Built unconditionally for exactly that validation;
-  // only kept as a cache key when caching applies.
-  std::string key = distVerifyJobKey(job);
-  if (!options_.enableResultCache || job.options.deadline) key.clear();
-  auto jobPtr = std::make_shared<const DistVerifyJob>(std::move(job));
-  // Same identity-keyed payload pinning as submitVerify — and the same
-  // cache: equal keys coalesce dist and in-process verify requests.
-  std::shared_ptr<const void> pin = jobPtr->labels;
-  return submitImpl<SimulationResult>(
-      verifyCache_, std::move(key), std::move(pin), std::move(jobPtr),
-      [this](const DistVerifyJob& j) {
-        auto result = runDistVerify(j);
-        bump(&ServiceStats::distVerifyJobsCompleted);
         return result;
       });
 }

@@ -91,10 +91,7 @@ struct ServiceOptions {
   int numThreads = 0;
   /// Max jobs in flight at once; <= 0 resolves to the pool size.
   int maxConcurrentJobs = 0;
-  bool enablePlanCache = true;
   bool enableResultCache = true;
-  std::size_t maxCachedPlans = 16;
-  std::size_t maxCachedResults = 64;
   /// Admission control: when > 0 and the scheduler backlog (admitted, not
   /// yet started jobs) has reached this depth, submit* throws RejectedError
   /// synchronously instead of queueing — with a retry-after hint scaled by
@@ -114,13 +111,6 @@ struct ServiceOptions {
 struct ServiceStats {
   std::uint64_t proveJobsCompleted = 0;
   std::uint64_t verifyJobsCompleted = 0;
-  /// Multi-process verification jobs (submitDistVerify) that completed.
-  std::uint64_t distVerifyJobsCompleted = 0;
-  /// Worker-process deaths observed across all dist jobs (each absorbed by
-  /// the coordinator's re-fork + journal replay when within budget)...
-  std::uint64_t distWorkerDeaths = 0;
-  /// ...and the successful re-forks that absorbed them.
-  std::uint64_t distWorkerRestarts = 0;
   std::uint64_t planCacheHits = 0;
   std::uint64_t resultCacheHits = 0;  ///< includes coalesced in-flight hits
   /// Prover plan builds actually RUN (on a cache miss).  A cache-miss
@@ -180,16 +170,6 @@ class LaneCertService {
   std::shared_future<CoreProveResult> submitProve(ProveJob job);
   /// Queues a verification request.  Throws RejectedError like submitProve.
   std::shared_future<SimulationResult> submitVerify(VerifyJob job);
-  /// Queues a MULTI-PROCESS verification request (src/dist): the job runs a
-  /// forked coordinator/worker sweep whose result is byte-identical to
-  /// submitVerify over the same content, so the two share one result-cache
-  /// entry.  Worker-process deaths are absorbed by the coordinator
-  /// (re-fork + journal replay) up to the job's maxWorkerRestarts; past
-  /// that the attempt fails as a TransientError and the job is retried up
-  /// to JobOptions::maxAttempts with doubling backoff before the future
-  /// fails.  Throws std::invalid_argument synchronously for an unknown
-  /// property name or a null payload; RejectedError like submitProve.
-  std::shared_future<SimulationResult> submitDistVerify(DistVerifyJob job);
 
   /// Opens a persistent verification session over the job's configuration;
   /// the label payload is COPIED into the session's own versioned store, so
@@ -273,11 +253,6 @@ class LaneCertService {
 
   CoreProveResult runProve(const ProveJob& job);
   SimulationResult runVerify(const VerifyJob& job);
-  /// Attempt loop of submitDistVerify: runs the dist coordinator, maps an
-  /// exhausted worker-restart budget (dist::WorkerFailure) onto
-  /// TransientError, and retries per the job's JobOptions.  Folds each
-  /// attempt's worker death/restart counters into the service stats.
-  SimulationResult runDistVerify(const DistVerifyJob& job);
   /// Plan-cache-miss snapshot probe: null when no store is configured, the
   /// file is absent, or validation rejects it.  Never throws (an injected
   /// kSnapshotLoad fault or I/O error degrades to a miss); accounts

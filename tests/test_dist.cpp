@@ -2,24 +2,21 @@
 //
 // The subsystem's contract is BYTE-IDENTITY: the coordinator's assembled
 // SimulationResult must equal the single-process VerifySession's, field by
-// field, at every (worker count, threads-per-worker) point — after the full
-// sweep and after every incremental edit batch, including batches whose
-// edges straddle partition boundaries.  The fault-tolerance contract rides
-// on top: a worker SIGKILL'd mid-sweep is re-forked and replayed with no
-// effect on the result, and an exhausted restart budget surfaces as
-// WorkerFailure (TransientError through the serve layer).
+// field, at every (worker count, threads-per-worker) point — on honest
+// labels and on corrupted payloads whose corruptions straddle partition
+// boundaries.  The failure contract rides on top: a worker that dies fails
+// the sweep with std::runtime_error, and every worker process is reaped
+// whether or not the sweep ran.
 //
 // Also covered here: the shared-memory image container (framing validation
-// rejects corrupted bytes before interpretation, round-trip accessors) and
-// the LabelStore additions it leans on (view constructor, applyEditsBlind).
+// rejects corrupted bytes before interpretation, round-trip accessors).
 
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/wait.h>
 
-#include <atomic>
-#include <chrono>
-#include <memory>
+#include <cerrno>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -31,9 +28,6 @@
 #include "graph/generators.hpp"
 #include "interval/interval.hpp"
 #include "mso/properties.hpp"
-#include "runtime/label_store.hpp"
-#include "serve/fault.hpp"
-#include "serve/service.hpp"
 
 namespace lanecert {
 namespace {
@@ -144,46 +138,6 @@ TEST(DistImage, WriteRejectsMismatchedSizes) {
 }
 
 // ---------------------------------------------------------------------------
-// LabelStore additions the dist layer leans on
-
-TEST(DistLabelStore, ViewConstructorMatchesStringConstructor) {
-  const std::vector<std::string> labels{"alpha", "", "c", "dddddddd"};
-  std::vector<std::string_view> views(labels.begin(), labels.end());
-  const LabelStore a(labels);
-  LabelStore b(std::move(views));
-  ASSERT_EQ(b.size(), a.size());
-  EXPECT_EQ(b.maxLabelBits(), a.maxLabelBits());
-  EXPECT_EQ(b.totalLabelBits(), a.totalLabelBits());
-  EXPECT_EQ(b.version(), 0u);
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    EXPECT_EQ(b.view(i), labels[i]);
-    // Zero-copy: the store's view aliases the ORIGINAL string bytes.
-    EXPECT_EQ(b.view(i).data(), labels[i].data());
-  }
-}
-
-TEST(DistLabelStore, ApplyEditsBlindRewritesAndRecomputesStats) {
-  const std::vector<std::string> labels{"alpha", "bb", "c"};
-  std::vector<std::string_view> views(labels.begin(), labels.end());
-  LabelStore store(std::move(views));
-  const std::vector<EdgeLabelEdit> batch{{0, "xyz"}, {2, "longer-now"}};
-  store.applyEditsBlind(batch);
-  EXPECT_EQ(store.view(0), "xyz");
-  EXPECT_EQ(store.view(1), "bb");
-  EXPECT_EQ(store.view(2), "longer-now");
-  EXPECT_EQ(store.version(), 1u);
-  EXPECT_EQ(store.maxLabelBits(), 8 * std::string("longer-now").size());
-  EXPECT_EQ(store.totalLabelBits(), 8 * (3 + 2 + 10));
-  // Out-of-range edge: all-or-nothing — nothing applied, no version bump.
-  const std::vector<EdgeLabelEdit> bad{{1, "ok"}, {7, "nope"}};
-  EXPECT_THROW(store.applyEditsBlind(bad), std::out_of_range);
-  EXPECT_EQ(store.view(1), "bb");
-  EXPECT_EQ(store.version(), 1u);
-  store.applyEditsBlind({});  // empty batch: no-op, no bump
-  EXPECT_EQ(store.version(), 1u);
-}
-
-// ---------------------------------------------------------------------------
 // Byte-identity with the single-process session
 
 struct DistFixture {
@@ -219,22 +173,20 @@ void expectSame(const SimulationResult& ref, const SimulationResult& got,
   EXPECT_EQ(got.totalLabelBits, ref.totalLabelBits) << where;
 }
 
-/// Edit batches for round r: honest rewrites and corruptions, seeded so
-/// every (K, t) configuration replays the same stream, plus — crucially —
-/// one edge straddling each partition boundary, so dirty sets route to two
-/// owners at once.
-std::vector<EdgeLabelEdit> editBatch(const DistFixture& f,
-                                     const DistVerifier& dv, int round) {
-  std::vector<EdgeLabelEdit> edits;
+/// Labels of payload `round`: byte flips on seeded edges, the same for
+/// every (K, t) configuration, plus — crucially — one corrupted edge
+/// straddling each partition boundary, so the vertices rejecting it belong
+/// to two partitions.
+std::vector<std::string> corruptedPayload(const DistFixture& f,
+                                          const DistVerifier& dv, int round) {
+  std::vector<std::string> labels = f.labels;
   const auto m = static_cast<std::uint64_t>(f.g.numEdges());
   std::uint64_t h = 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(
                                                 round + 1);
   for (int j = 0; j < 6; ++j) {
     h ^= h << 13, h ^= h >> 7, h ^= h << 17;  // xorshift
-    const auto e = static_cast<EdgeId>(h % m);
-    EdgeLabelEdit el{e, f.labels[static_cast<std::size_t>(e)]};
-    if ((h & 1) != 0 && !el.bytes.empty()) el.bytes[0] ^= 0x5a;
-    edits.push_back(std::move(el));
+    std::string& l = labels[static_cast<std::size_t>(h % m)];
+    if ((h & 1) != 0 && !l.empty()) l[l.size() / 2] ^= 0x5a;
   }
   for (int k = 1; k < dv.workers(); ++k) {
     const std::size_t boundary = dv.partitionRange(k).first;
@@ -243,12 +195,12 @@ std::vector<EdgeLabelEdit> editBatch(const DistFixture& f,
       const bool uLeft = static_cast<std::size_t>(eg.u) < boundary;
       const bool vLeft = static_cast<std::size_t>(eg.v) < boundary;
       if (uLeft != vLeft) {
-        edits.push_back({e, f.labels[static_cast<std::size_t>(e)] + "!"});
+        labels[static_cast<std::size_t>(e)] += "!";
         break;
       }
     }
   }
-  return edits;
+  return labels;
 }
 
 TEST(DistVerify, ByteIdenticalToSessionAcrossWorkersAndThreads) {
@@ -257,60 +209,29 @@ TEST(DistVerify, ByteIdenticalToSessionAcrossWorkersAndThreads) {
     for (int t : {1, 2, 4}) {
       const std::string cfg =
           "K=" + std::to_string(K) + " t=" + std::to_string(t);
-      VerifySession ref(f.g, f.ids, f.labels, makeConnectivity());
-      DistOptions opt;
-      opt.workers = K;
-      opt.threadsPerWorker = t;
+      const DistOptions opt{K, t};
       DistVerifier dv(f.g, f.ids, f.labels, "connectivity", {}, opt);
-      expectSame(ref.verifyAll(t), dv.verifyAll(), cfg + " sweep");
+      const SimulationResult honest = dv.verifyAll();
+      expectSame(VerifySession(f.g, f.ids, f.labels, makeConnectivity())
+                     .verifyAll(t),
+                 honest, cfg + " honest");
+      // The one sweep is final: a later call returns the same verdicts.
+      expectSame(honest, dv.verifyAll(), cfg + " repeated call");
+      EXPECT_EQ(dv.stats().sweeps, 1u) << cfg;
+      EXPECT_EQ(dv.stats().workerDeaths, 0u) << cfg;
       for (int round = 0; round < 3; ++round) {
-        const std::vector<EdgeLabelEdit> edits = editBatch(f, dv, round);
-        expectSame(ref.reverifyEdits(edits, t), dv.reverifyEdits(edits),
-                   cfg + " round " + std::to_string(round));
+        const std::vector<std::string> labels =
+            corruptedPayload(f, dv, round);
+        const SimulationResult ref =
+            VerifySession(f.g, f.ids, labels, makeConnectivity())
+                .verifyAll(t);
+        if (K > 1) EXPECT_FALSE(ref.allAccept) << cfg;
+        DistVerifier bad(f.g, f.ids, labels, "connectivity", {}, opt);
+        expectSame(ref, bad.verifyAll(),
+                   cfg + " payload " + std::to_string(round));
       }
     }
   }
-}
-
-TEST(DistVerify, EditsBeforeFirstSweepStageLikeTheSession) {
-  const DistFixture& f = DistFixture::get();
-  VerifySession ref(f.g, f.ids, f.labels, makeConnectivity());
-  DistOptions opt;
-  opt.workers = 2;
-  DistVerifier dv(f.g, f.ids, f.labels, "connectivity", {}, opt);
-  std::vector<EdgeLabelEdit> edits{{0, f.labels[0] + "?"}};
-  // No sweep yet: both sides stage the edit and fall back to a full sweep.
-  expectSame(ref.reverifyEdits(edits, 1), dv.reverifyEdits(edits),
-             "staged pre-sweep batch");
-  EXPECT_TRUE(dv.swept());
-  EXPECT_EQ(dv.storeVersion(), 1u);
-}
-
-TEST(DistVerify, ReverifyRoutesOnlyToOwningPartitions) {
-  const DistFixture& f = DistFixture::get();
-  DistOptions opt;
-  opt.workers = 4;
-  DistVerifier dv(f.g, f.ids, f.labels, "connectivity", {}, opt);
-  (void)dv.verifyAll();
-  // An edge interior to partition 0 dirties only partition 0.
-  const auto [b0, e0] = dv.partitionRange(0);
-  EdgeId interior = kNoEdge;
-  for (EdgeId e = 0; e < f.g.numEdges(); ++e) {
-    const Edge& eg = f.g.edge(e);
-    if (static_cast<std::size_t>(eg.u) >= b0 &&
-        static_cast<std::size_t>(eg.u) < e0 &&
-        static_cast<std::size_t>(eg.v) >= b0 &&
-        static_cast<std::size_t>(eg.v) < e0) {
-      interior = e;
-      break;
-    }
-  }
-  ASSERT_NE(interior, kNoEdge);
-  const std::vector<EdgeLabelEdit> edits{
-      {interior, f.labels[static_cast<std::size_t>(interior)]}};
-  (void)dv.reverifyEdits(edits);
-  EXPECT_EQ(dv.stats().routedBatches, 1u);
-  EXPECT_EQ(dv.stats().skippedWorkers, 3u);
 }
 
 TEST(DistVerify, RejectsBadConstructionAndBadEdits) {
@@ -320,194 +241,68 @@ TEST(DistVerify, RejectsBadConstructionAndBadEdits) {
   std::vector<std::string> short1(f.labels.begin(), f.labels.end() - 1);
   EXPECT_THROW(DistVerifier(f.g, f.ids, short1, "connectivity"),
                std::invalid_argument);
-  DistVerifier dv(f.g, f.ids, f.labels, "connectivity");
-  (void)dv.verifyAll();
-  const std::vector<EdgeLabelEdit> bad{
-      {static_cast<EdgeId>(f.g.numEdges()), "x"}};
-  EXPECT_THROW((void)dv.reverifyEdits(bad), std::out_of_range);
-  // Nothing applied: the next empty round still matches a fresh session.
-  VerifySession ref(f.g, f.ids, f.labels, makeConnectivity());
-  expectSame(ref.verifyAll(1), dv.reverifyEdits({}), "after rejected batch");
 }
 
 // ---------------------------------------------------------------------------
-// Worker death
+// Worker failure and reaping
 
-TEST(DistVerify, SigkilledWorkerMidSweepRecoversByteIdentical) {
-  const DistFixture& f = DistFixture::get();
-  VerifySession ref(f.g, f.ids, f.labels, makeConnectivity());
-  DistOptions opt;
-  opt.workers = 4;
-  opt.dieWorker = 1;
-  opt.dieAfterVertices = 10;  // deep inside partition 1's sweep
-  DistVerifier dv(f.g, f.ids, f.labels, "connectivity", {}, opt);
-  expectSame(ref.verifyAll(1), dv.verifyAll(), "sweep across a death");
-  EXPECT_GE(dv.stats().workerDeaths, 1u);
-  EXPECT_GE(dv.stats().workerRestarts, 1u);
-  // The replacement keeps serving: an edit routed to the re-forked
-  // partition still matches.
-  const auto [b1, e1] = dv.partitionRange(1);
-  for (EdgeId e = 0; e < f.g.numEdges(); ++e) {
-    if (static_cast<std::size_t>(f.g.edge(e).u) >= b1 &&
-        static_cast<std::size_t>(f.g.edge(e).u) < e1) {
-      const std::vector<EdgeLabelEdit> edits{
-          {e, f.labels[static_cast<std::size_t>(e)] + "x"}};
-      expectSame(ref.reverifyEdits(edits, 1), dv.reverifyEdits(edits),
-                 "reverify on the replacement");
-      break;
-    }
-  }
+/// True once `pid` is no child of this process any more (reaped).
+bool reaped(pid_t pid) {
+  return ::waitpid(pid, nullptr, WNOHANG) == -1 && errno == ECHILD;
 }
 
-TEST(DistVerify, ExternallyKilledWorkerRecoversWithEditsReplayed) {
-  const DistFixture& f = DistFixture::get();
-  VerifySession ref(f.g, f.ids, f.labels, makeConnectivity());
-  DistOptions opt;
-  opt.workers = 4;
-  DistVerifier dv(f.g, f.ids, f.labels, "connectivity", {}, opt);
-  expectSame(ref.verifyAll(1), dv.verifyAll(), "pre-kill sweep");
-  // Edit first (journaled), THEN kill: the replacement must replay the
-  // journal before its resweep, or its rows diverge from the session's.
-  const auto [b2, e2] = dv.partitionRange(2);
-  std::vector<EdgeLabelEdit> edits;
-  for (EdgeId e = 0; e < f.g.numEdges(); ++e) {
-    if (static_cast<std::size_t>(f.g.edge(e).u) >= b2 &&
-        static_cast<std::size_t>(f.g.edge(e).u) < e2) {
-      edits.push_back({e, f.labels[static_cast<std::size_t>(e)] + "yz"});
-      break;
-    }
-  }
-  ASSERT_FALSE(edits.empty());
-  expectSame(ref.reverifyEdits(edits, 1), dv.reverifyEdits(edits),
-             "journaled edit");
-  ASSERT_EQ(kill(dv.workerPid(2), SIGKILL), 0);
-  const std::vector<EdgeLabelEdit> after{
-      {edits[0].edge, f.labels[static_cast<std::size_t>(edits[0].edge)]}};
-  expectSame(ref.reverifyEdits(after, 1), dv.reverifyEdits(after),
-             "reverify after external SIGKILL");
-  EXPECT_GE(dv.stats().workerDeaths, 1u);
+std::vector<pid_t> pidsOf(const DistVerifier& dv) {
+  std::vector<pid_t> pids;
+  for (int k = 0; k < dv.workers(); ++k) pids.push_back(dv.workerPid(k));
+  return pids;
 }
 
-TEST(DistVerify, ExhaustedRestartBudgetThrowsWorkerFailure) {
+TEST(DistVerify, KilledWorkerFailsTheSweepAndEveryWorkerIsReaped) {
   const DistFixture& f = DistFixture::get();
-  DistOptions opt;
-  opt.workers = 2;
-  opt.maxWorkerRestarts = 0;  // first death exhausts the budget
-  opt.dieWorker = 1;
-  opt.dieAfterVertices = 0;
-  DistVerifier dv(f.g, f.ids, f.labels, "connectivity", {}, opt);
-  EXPECT_THROW((void)dv.verifyAll(), dist::WorkerFailure);
+  std::vector<pid_t> pids;
+  {
+    DistVerifier dv(f.g, f.ids, f.labels, "connectivity", {},
+                    DistOptions{4, 1});
+    pids = pidsOf(dv);
+    ASSERT_GT(dv.workerPid(2), 0);  // never kill(-1, ...) or a group
+    ASSERT_EQ(::kill(dv.workerPid(2), SIGKILL), 0);
+    EXPECT_THROW((void)dv.verifyAll(), std::runtime_error);
+    EXPECT_EQ(dv.stats().workerDeaths, 1u);
+    EXPECT_EQ(dv.stats().sweeps, 0u);
+    // No partial verdict plane on a later call either.
+    EXPECT_THROW((void)dv.verifyAll(), std::runtime_error);
+  }
+  for (const pid_t pid : pids) EXPECT_TRUE(reaped(pid)) << "pid " << pid;
 }
 
-// ---------------------------------------------------------------------------
-// Serve-layer integration
-
-TEST(DistServe, SubmitDistVerifyMatchesInProcessVerify) {
+TEST(DistVerify, DestroyedWithoutSweepLeavesNoChildBehind) {
   const DistFixture& f = DistFixture::get();
-  const auto payload =
-      std::make_shared<const std::vector<std::string>>(f.labels);
-  // Find a corruption the verifier actually notices (not every single-bit
-  // flip lands in a semantically live part of a label).
-  auto corrupted = std::make_shared<std::vector<std::string>>(f.labels);
-  SimulationResult refBad;
-  for (std::size_t e = 0; e < corrupted->size(); ++e) {
-    std::string& l = (*corrupted)[e];
-    if (l.empty()) continue;
-    l[l.size() / 2] ^= 0x10;
-    refBad = VerifySession(f.g, f.ids, *corrupted, makeConnectivity())
-                 .verifyAll(1);
-    if (!refBad.allAccept) break;
-    l[l.size() / 2] ^= 0x10;  // restore and try the next label
+  std::vector<pid_t> pids;
+  {
+    const DistVerifier dv(f.g, f.ids, f.labels, "connectivity", {},
+                          DistOptions{4, 2});
+    pids = pidsOf(dv);
   }
-  const SimulationResult refGood =
+  ASSERT_EQ(pids.size(), 4u);
+  for (const pid_t pid : pids) EXPECT_TRUE(reaped(pid)) << "pid " << pid;
+}
+
+TEST(DistVerify, TwoLiveVerifiersSweepInEitherOrder) {
+  // The younger verifier's workers are forked while the older one's
+  // barrier is still held; they must not keep it from being released.
+  const DistFixture& f = DistFixture::get();
+  const SimulationResult ref =
       VerifySession(f.g, f.ids, f.labels, makeConnectivity()).verifyAll(1);
-  ASSERT_TRUE(refGood.allAccept);
-  ASSERT_FALSE(refBad.allAccept);
-
-  serve::LaneCertService service(serve::ServiceOptions{.numThreads = 2});
-  serve::DistVerifyJob good{f.g, f.ids, payload, "connectivity"};
-  good.workerProcesses = 3;
-  serve::DistVerifyJob bad{f.g, f.ids, corrupted, "connectivity"};
-  bad.workerProcesses = 2;
-  const SimulationResult g = service.submitDistVerify(good).get();
-  const SimulationResult b = service.submitDistVerify(bad).get();
-  expectSame(refGood, g, "dist job, honest labels");
-  expectSame(refBad, b, "dist job, corrupted labels");
-  service.drain();
-  EXPECT_EQ(service.stats().distVerifyJobsCompleted, 2u);
-}
-
-TEST(DistServe, DistAndInProcessVerifyShareOneCacheEntry) {
-  const DistFixture& f = DistFixture::get();
-  const auto payload =
-      std::make_shared<const std::vector<std::string>>(f.labels);
-  serve::LaneCertService service(serve::ServiceOptions{.numThreads = 2});
-  const SimulationResult viaThreads =
-      service
-          .submitVerify(serve::VerifyJob{f.g, f.ids, payload,
-                                         makeConnectivity(), {}})
-          .get();
-  // Same payload through the dist front door: the key matches, so the
-  // cached in-process result is replayed and NO dist job ever runs.
-  serve::DistVerifyJob dj{f.g, f.ids, payload, "connectivity"};
-  const SimulationResult viaDist = service.submitDistVerify(dj).get();
-  expectSame(viaThreads, viaDist, "coalesced dist hit");
-  service.drain();
-  EXPECT_EQ(service.stats().verifyJobsCompleted, 1u);
-  EXPECT_EQ(service.stats().distVerifyJobsCompleted, 0u);
-  EXPECT_GE(service.stats().resultCacheHits, 1u);
-}
-
-TEST(DistServe, InvalidJobsRejectSynchronously) {
-  const DistFixture& f = DistFixture::get();
-  const auto payload =
-      std::make_shared<const std::vector<std::string>>(f.labels);
-  serve::LaneCertService service(serve::ServiceOptions{.numThreads = 1});
-  serve::DistVerifyJob unknown{f.g, f.ids, payload, "gibberish:99"};
-  EXPECT_THROW((void)service.submitDistVerify(std::move(unknown)),
-               std::invalid_argument);
-  serve::DistVerifyJob null{f.g, f.ids, nullptr, "connectivity"};
-  EXPECT_THROW((void)service.submitDistVerify(std::move(null)),
-               std::invalid_argument);
-}
-
-TEST(DistServe, WorkerFailureMapsToTransientErrorWithBoundedRetry) {
-  const DistFixture& f = DistFixture::get();
-  const auto payload =
-      std::make_shared<const std::vector<std::string>>(f.labels);
-  serve::LaneCertService service(serve::ServiceOptions{.numThreads = 1});
-
-  // An exhausted restart budget inside the coordinator surfaces as
-  // dist::WorkerFailure; inject it at the sweep seam on the first two
-  // attempts and let the third run for real — the job-level retry loop in
-  // runDistVerify must absorb both and still complete.
-  std::atomic<int> fires{0};
-  serve::FaultScope scope([&](serve::FaultSite site) {
-    if (site == serve::FaultSite::kSweep && ++fires <= 2) {
-      throw dist::WorkerFailure("drill: restart budget exhausted");
-    }
-  });
-  serve::DistVerifyJob retried{f.g, f.ids, payload, "connectivity"};
-  retried.workerProcesses = 2;
-  retried.options.maxAttempts = 3;
-  retried.options.retryBackoff = std::chrono::milliseconds(1);
-  EXPECT_TRUE(service.submitDistVerify(retried).get().allAccept);
-  service.drain();
-  EXPECT_EQ(service.stats().transientRetries, 2u);
-  EXPECT_EQ(service.stats().distWorkerDeaths, 2u);
-
-  // With no attempts left, the future carries the taxonomy's
-  // TransientError — never the raw dist exception.
-  fires = -1000;  // every subsequent kSweep fire throws
-  serve::DistVerifyJob doomed{f.g, f.ids, payload, "connectivity"};
-  doomed.workerProcesses = 2;
-  doomed.labelsVersion = 7;  // miss the cached entry from `retried`
-  doomed.options.maxAttempts = 2;
-  doomed.options.retryBackoff = std::chrono::milliseconds(1);
-  auto future = service.submitDistVerify(std::move(doomed));
-  EXPECT_THROW((void)future.get(), serve::TransientError);
-  service.drain();
-  EXPECT_GE(service.stats().distWorkerDeaths, 4u);
+  for (const bool olderFirst : {true, false}) {
+    DistVerifier older(f.g, f.ids, f.labels, "connectivity", {},
+                       DistOptions{2, 1});
+    DistVerifier younger(f.g, f.ids, f.labels, "connectivity", {},
+                         DistOptions{2, 1});
+    DistVerifier& first = olderFirst ? older : younger;
+    DistVerifier& second = olderFirst ? younger : older;
+    expectSame(ref, first.verifyAll(), "first");
+    expectSame(ref, second.verifyAll(), "second");
+  }
 }
 
 }  // namespace
