@@ -5,12 +5,11 @@
 //
 // BM_Net/<conns> drives <conns> loopback connections, each keeping a
 // pipeline of 8 requests in flight over a 50/30/20 prove/verify/reverify
-// mix against a rotating set of 4 distinct 24-vertex graphs (k = 2, the
-// load_driver CI workload).  Proves repeat, so the result cache coalesces
-// and the stream memo scatters — the serving hot path.  Counters report
-// throughput (rps) and client-observed latency percentiles; real time is
-// the gated quantity (BENCH_net.json, enforced by scripts/check_bench.py
-// --require BM_Net/).
+// mix against a rotating set of 4 distinct 24-vertex graphs (k = 2).
+// Proves repeat, so the result cache coalesces and the stream memo
+// scatters — the serving hot path.  Counters report throughput (rps) and
+// client-observed latency percentiles; real time is the gated quantity
+// (BENCH_net.json, enforced by scripts/check_bench.py --require BM_Net/).
 
 #include <benchmark/benchmark.h>
 

@@ -20,7 +20,6 @@
 #include "mso/properties.hpp"
 #include "pls/pointer.hpp"
 #include "runtime/label_store.hpp"
-#include "serve/service.hpp"
 
 namespace {
 
@@ -120,67 +119,6 @@ void BM_VerifierThreads(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_VerifierThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_SessionCacheStats(benchmark::State& state) {
-  // Sweep-cache behaviour at thread scale: a warm LaneCertService verify
-  // session absorbing edit batches that dirty 1/16 of the edges per
-  // iteration, with the pool sized by arg 0.  Wall time is secondary; what
-  // the thread-scaling CI job archives is the counters — memo_hits should
-  // dominate (reads take no stripe lock), and stripe_contention measures
-  // how often concurrent probes actually collided on a stripe.  Flat
-  // contention from t=8 to t=16 is the evidence that the striped cache,
-  // not the locks, carries the scaling.
-  const auto inst = instance(2, 1024);
-  const auto proved =
-      proveCore(inst.g, inst.ids, *makeConnectivity(), &inst.rep);
-
-  serve::ServiceOptions opts;
-  opts.numThreads = static_cast<int>(state.range(0));
-  opts.enableResultCache = false;  // measure sweeps, not replay
-  serve::LaneCertService service(opts);
-  const std::uint64_t sid = service.openVerifySession(serve::VerifyJob{
-      inst.g, inst.ids,
-      std::make_shared<const std::vector<std::string>>(proved.labels),
-      makeConnectivity(), {}});
-  service.submitReverify(serve::ReverifyJob{sid, {}}).get();  // warm sweep
-
-  const auto m = static_cast<std::size_t>(inst.g.numEdges());
-  std::uint64_t round = 0;
-  for (auto _ : state) {
-    // Corrupt every 16th label on even rounds, restore on odd: each batch
-    // re-verifies the dirty rows concurrently across the pool, probing the
-    // shared sweep cache from every worker.
-    const bool corrupt = (round % 2) == 0;
-    std::vector<EdgeLabelEdit> batch;
-    for (std::size_t e = (round / 2) % 16; e < m; e += 16) {
-      const std::string& honest = proved.labels[e];
-      batch.push_back({static_cast<EdgeId>(e),
-                       corrupt ? honest + "x" : honest});
-    }
-    const auto res =
-        service.submitReverify(serve::ReverifyJob{sid, std::move(batch)})
-            .get();
-    if (corrupt == res.allAccept) {
-      state.SkipWithError(corrupt ? "corrupt batch accepted"
-                                  : "restore batch rejected");
-      break;
-    }
-    ++round;
-  }
-  service.drain();
-
-  const SweepCacheStats cs = service.sessionCacheStats(sid);
-  const double probes = static_cast<double>(cs.hits + cs.misses + cs.memoHits);
-  state.counters["threads"] = static_cast<double>(state.range(0));
-  state.counters["memo_hits"] = static_cast<double>(cs.memoHits);
-  state.counters["stripe_contention"] = static_cast<double>(cs.stripeContention);
-  state.counters["cache_hit_rate"] =
-      probes > 0 ? static_cast<double>(cs.hits + cs.memoHits) / probes : 0.0;
-  state.counters["cache_entries"] = static_cast<double>(cs.entries);
-  service.closeVerifySession(sid);
-}
-BENCHMARK(BM_SessionCacheStats)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_Reverify(benchmark::State& state) {

@@ -8,7 +8,9 @@
 // corrupt one edge, watch exactly its two endpoints flip to rejecting,
 // restore it, watch them flip back — each step re-verifying a handful of
 // vertices instead of the whole graph, with verdicts byte-identical to a
-// fresh full sweep (which the demo cross-checks at every step).
+// fresh full sweep (which the demo cross-checks).  Exits 1 unless the
+// session and the served registry both go accept, reject, accept and the
+// restored verdicts match the fresh sweep.
 
 #include <chrono>
 #include <cstdio>
@@ -75,11 +77,9 @@ int main() {
   // Cross-check: byte-identical to a fresh full sweep of the same labels.
   const SimulationResult fresh = simulateEdgeScheme(
       bp.graph, ids, proved.labels, makeCoreVerifier(prop));
-  std::printf("matches fresh full sweep: %s\n",
-              healed.rejecting == fresh.rejecting &&
-                      healed.totalLabelBits == fresh.totalLabelBits
-                  ? "yes"
-                  : "NO");
+  const bool matchesFresh = healed.rejecting == fresh.rejecting &&
+                            healed.totalLabelBits == fresh.totalLabelBits;
+  std::printf("matches fresh full sweep: %s\n", matchesFresh ? "yes" : "NO");
 
   // --- Serving API: session registry --------------------------------------
   serve::LaneCertService service;
@@ -103,5 +103,13 @@ int main() {
       corruptRejects, static_cast<int>(restoreOk),
       static_cast<unsigned long long>(service.sessionStoreVersion(sid)));
   service.closeVerifySession(sid);
+
+  const bool sessionOk = initial.allAccept && !broken.allAccept &&
+                         healed.allAccept && matchesFresh;
+  const bool servedOk = sweepOk && corruptRejects > 0 && restoreOk;
+  if (!sessionOk || !servedOk) {
+    std::printf("FAILED: expected accept, reject, accept in both paths\n");
+    return 1;
+  }
   return 0;
 }

@@ -4,7 +4,8 @@
 // once by a deployment tool (the prover); afterwards every processor
 // re-checks its O(log n)-bit neighborhood forever.  We simulate three
 // fault events and show that in each one at least one processor raises an
-// alarm — locally, with no global coordination.
+// alarm — locally, with no global coordination.  Exits 1 unless the steady
+// state raises no alarm and every fault raises at least one.
 
 #include <cstdio>
 
@@ -35,8 +36,9 @@ int main() {
   if (!honest.propertyHolds) return 1;
   std::printf("installed certificates: max %zu bits per link\n",
               honest.stats.maxLabelBits);
-  std::printf("steady state: %d alarms (expected 0)\n\n",
-              alarms(ring, ids, honest.labels));
+  const int steady = alarms(ring, ids, honest.labels);
+  std::printf("steady state: %d alarms (expected 0)\n\n", steady);
+  bool everyFaultCaught = true;
 
   // Fault 1: a link dies (the ring degenerates to a path) — certificates
   // are stale, some processor must notice.
@@ -47,8 +49,9 @@ int main() {
     }
     auto labels = honest.labels;
     labels.pop_back();
-    std::printf("fault 1 (link failure, ring -> path): %d alarms\n",
-                alarms(broken, ids, labels));
+    const int raised = alarms(broken, ids, labels);
+    std::printf("fault 1 (link failure, ring -> path): %d alarms\n", raised);
+    everyFaultCaught = everyFaultCaught && raised > 0;
   }
 
   // Fault 2: memory corruption flips bits in one processor's certificate.
@@ -56,8 +59,9 @@ int main() {
     auto labels = honest.labels;
     Rng rng(5);
     (void)mutateLabels(labels, Mutation::kScramble, rng);
-    std::printf("fault 2 (certificate corruption):       %d alarms\n",
-                alarms(ring, ids, labels));
+    const int raised = alarms(ring, ids, labels);
+    std::printf("fault 2 (certificate corruption):       %d alarms\n", raised);
+    everyFaultCaught = everyFaultCaught && raised > 0;
   }
 
   // Fault 3: a rogue link is patched in (a chord), making the topology a
@@ -68,10 +72,15 @@ int main() {
     chorded.addEdge(0, n / 2);
     auto labels = honest.labels;
     labels.push_back(labels[0]);
-    std::printf("fault 3 (rogue chord added):            %d alarms\n",
-                alarms(chorded, ids, labels));
+    const int raised = alarms(chorded, ids, labels);
+    std::printf("fault 3 (rogue chord added):            %d alarms\n", raised);
+    everyFaultCaught = everyFaultCaught && raised > 0;
   }
 
+  if (steady != 0 || !everyFaultCaught) {
+    std::printf("\nFAILED: expected 0 steady-state alarms and >= 1 per fault\n");
+    return 1;
+  }
   std::printf("\nevery fault was detected by at least one processor.\n");
   return 0;
 }

@@ -19,6 +19,8 @@
 // Act 4 — graceful drain: requestDrain() while requests are in flight;
 // every outstanding request still resolves terminally, and the late
 // client finds the listener closed.
+//
+// Exits 1 unless every act ends as described above.
 
 #include <cstdio>
 #include <cstdlib>
@@ -53,9 +55,9 @@ int main() {
   const auto local = proveCore(g, ids, *makeConnectivity());
   const std::string localStream =
       net::encodeCertificateStream(local.propertyHolds, local.labels);
+  const bool identical = proved.stream == localStream;
   std::printf("prove: %zu streamed bytes, byte-identical to proveCore: %s\n",
-              proved.stream.size(),
-              proved.stream == localStream ? "yes" : "NO");
+              proved.stream.size(), identical ? "yes" : "NO");
   const net::CertificateStream cert =
       net::decodeCertificateStream(proved.stream);
 
@@ -126,5 +128,9 @@ int main() {
               static_cast<unsigned long long>(st.connectionsAccepted),
               static_cast<unsigned long long>(st.framesRead),
               static_cast<unsigned long long>(st.requestsCompleted));
-  return 0;
+  const bool ok = identical &&
+                  accepted == static_cast<int>(inflight.size()) &&
+                  !tamper.allAccept && restore.allAccept &&
+                  terminal == static_cast<int>(pending.size()) && lateRejected;
+  return ok ? 0 : 1;
 }

@@ -19,7 +19,8 @@
 #   2  generated build files are tracked by git
 #   3  clang-format drift
 #   4  configure or build failure
-#   5  test failure
+#   5  test failure (ctest: the gtest suite, the fuzz smokes and every
+#      example program)
 #   6  benchmark smoke failure
 #   7  retired: there is one build, and the certificate goldens in
 #      tests/test_golden.cpp (ctest, class 5) pin its bytes
@@ -28,8 +29,8 @@
 #      mutation; reproduction artifacts are left in build/fuzz-artifacts
 #   9  wire smoke failure (--ci only): the loopback serving daemon failed
 #      to boot, the streamed certificate differed from the in-process
-#      bytes, the load driver fell below its throughput floor, or the
-#      SIGTERM drain did not complete (scripts/wire_smoke.sh)
+#      bytes, or the SIGTERM drain did not complete (scripts/wire_smoke.sh;
+#      the throughput floor is the CI lcbench job's wire_hot run)
 #  10  snapshot round-trip divergence (--ci only): a warm-started prove
 #      (plan loaded from a persisted snapshot, snapshot_tool --require-hit)
 #      produced different certificate bytes than a cold prove of the same
@@ -186,13 +187,11 @@ fi
 
 # --- Wire-level serving smoke (--ci only): boot the daemon on loopback,
 # byte-compare a streamed certificate against the in-process encoding,
-# sustain mixed load above the CI throughput floor, and SIGTERM-drain.
-# scripts/wire_smoke.sh is the single implementation; the CI wire-smoke
-# job calls the same script.
+# and SIGTERM-drain.  scripts/wire_smoke.sh is the single implementation;
+# the CI wire-smoke job calls the same script.
 if [ "${CI_MODE}" -eq 1 ]; then
-  if [ -x build/lanecert_serverd ] && [ -x build/load_driver ] \
-     && [ -x build/wire_fetch ]; then
-    if ! bash scripts/wire_smoke.sh build 4 1000; then
+  if [ -x build/lanecert_serverd ] && [ -x build/wire_fetch ]; then
+    if ! bash scripts/wire_smoke.sh build; then
       fail wire-smoke 9 "wire serving smoke (scripts/wire_smoke.sh)"
     fi
     ci_report wire-smoke ok 9

@@ -1,25 +1,21 @@
 #!/usr/bin/env bash
 # Wire-level end-to-end smoke: boots the serving daemon on loopback,
 # byte-compares a streamed certificate against the in-process reference,
-# drives sustained mixed load with a throughput floor, and exercises the
-# SIGTERM graceful drain.
+# and exercises the SIGTERM graceful drain.  Throughput under load is the
+# benchmark's job (the CI lcbench job's wire_hot floor).
 #
-# Usage: scripts/wire_smoke.sh [build-dir] [duration-seconds] [min-throughput]
+# Usage: scripts/wire_smoke.sh [build-dir]
 #
 # Checks, each fatal:
 #   1. serverd binds and prints its ephemeral port;
 #   2. `wire_fetch fetch` over the socket == `wire_fetch local` in-process,
 #      byte for byte (the network boundary adds exactly nothing);
-#   3. load_driver sustains the floor (default 1000 req/s) for the
-#      duration with zero worker errors;
-#   4. SIGTERM drains: the daemon exits 0 within the grace window.
+#   3. SIGTERM drains: the daemon exits 0 within the grace window.
 set -uo pipefail
 
 build="${1:-build}"
-duration="${2:-4}"
-floor="${3:-1000}"
 
-for bin in lanecert_serverd wire_fetch load_driver; do
+for bin in lanecert_serverd wire_fetch; do
   if [ ! -x "${build}/${bin}" ]; then
     echo "wire_smoke: ${build}/${bin} missing (build it first)" >&2
     exit 1
@@ -81,14 +77,6 @@ if ! cmp -s "${tmp}/wire.cert" "${tmp}/local.cert"; then
   exit 1
 fi
 echo "wire_smoke: streamed certificate byte-identical to in-process result"
-
-# --- sustained mixed load with a throughput floor --------------------------
-if ! "${build}/load_driver" --port "${port}" --connections 4 --pipeline 8 \
-     --vertices 24 --duration-seconds "${duration}" \
-     --min-throughput "${floor}" --json "${tmp}/load.json"; then
-  echo "wire_smoke: load driver failed or fell below ${floor} req/s" >&2
-  exit 1
-fi
 
 # --- SIGTERM graceful drain ------------------------------------------------
 kill -TERM "${serverd_pid}"

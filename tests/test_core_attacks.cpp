@@ -3,6 +3,7 @@
 // semantic field (input flag, hom state, terminals, fold inputs, embedding
 // ranks, root metadata, ...), re-encodes, and asserts that some vertex
 // rejects.  These target the specific soundness obligations of Section 6.2.
+// The last test forges a whole labeling instead of one record.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "core/scheme.hpp"
 #include "graph/generators.hpp"
 #include "mso/properties.hpp"
+#include "mso/property.hpp"
 
 namespace lanecert {
 namespace {
@@ -271,6 +273,64 @@ TEST(CoreAttacks, DuplicatePathThroughRecord) {
         return true;
       },
       "duplicated path record");
+}
+
+/// The real property in every operation except `accepts`, which holds for
+/// every state.  The honest prover over it labels a false instance
+/// consistently: every copy of every record agrees, so only the verifier's
+/// root acceptance check is left to reject the labeling.
+class AcceptsEverything final : public Property {
+ public:
+  explicit AcceptsEverything(PropertyPtr real) : real_(std::move(real)) {}
+  std::string name() const override { return real_->name(); }
+  HomState empty() const override { return real_->empty(); }
+  HomState addVertex(const HomState& s) const override {
+    return real_->addVertex(s);
+  }
+  HomState addEdge(const HomState& s, int a, int b, int label) const override {
+    return real_->addEdge(s, a, b, label);
+  }
+  HomState join(const HomState& a, const HomState& b) const override {
+    return real_->join(a, b);
+  }
+  HomState identify(const HomState& s, int a, int b) const override {
+    return real_->identify(s, a, b);
+  }
+  HomState forget(const HomState& s, int a) const override {
+    return real_->forget(s, a);
+  }
+  bool accepts(const HomState&) const override { return true; }
+  HomState decodeState(std::string_view enc) const override {
+    return real_->decodeState(enc);
+  }
+  int slotCount(const HomState& s) const override { return real_->slotCount(s); }
+
+ private:
+  PropertyPtr real_;
+};
+
+TEST(CoreAttacks, ConsistentLabelingOfFalseInstanceRejected) {
+  struct Case {
+    Graph g;
+    PropertyPtr prop;
+    const char* what;
+  };
+  const std::vector<Case> cases = {
+      {cycleGraph(6), makeForest(), "C6 as a forest"},
+      {cycleGraph(9), makeColorability(2), "C9 as 2-colourable"},
+      {cycleGraph(8), makePathProperty(), "C8 as a path"},
+      {cycleGraph(7), makeMaxDegree(1), "C7 with max degree 1"},
+      {pathGraph(6), makeCycleProperty(), "P6 as a cycle"},
+      {pathGraph(5), makePerfectMatching(), "P5 with a perfect matching"},
+  };
+  for (const Case& c : cases) {
+    const IdAssignment ids = IdAssignment::random(c.g.numVertices(), 11);
+    const CoreProveResult forged = proveCore(c.g, ids, AcceptsEverything(c.prop));
+    ASSERT_TRUE(forged.propertyHolds) << c.what;
+    const auto res = simulateEdgeScheme(c.g, ids, forged.labels,
+                                        makeCoreVerifier(c.prop));
+    EXPECT_FALSE(res.allAccept) << c.what;
+  }
 }
 
 }  // namespace

@@ -169,6 +169,15 @@ TEST(Hierarchy, DepthBoundHoldsOnFamilies) {
   }
 }
 
+TEST(Hierarchy, DepthIndependentOfN) {
+  // The depth bound is 2w, a constant in n: the same pathwidth-1 family
+  // gets the same depth at 32 times the size.
+  const auto depth = [](int spine) {
+    return hierarchyOf(caterpillar(spine, 1)).hierarchy.depth();
+  };
+  EXPECT_EQ(depth(16), depth(512));
+}
+
 TEST(Hierarchy, RandomSweepAllValid) {
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     Rng rng(seed);
