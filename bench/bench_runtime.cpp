@@ -19,7 +19,7 @@
 #include "graph/generators.hpp"
 #include "mso/properties.hpp"
 #include "pls/pointer.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 
 namespace {
 

@@ -5,18 +5,18 @@
 // Each benchmark iteration is ONE edit→verdict round trip through the
 // service (submitReverify + future.get()), manually timed, so the reported
 // real_time IS the steady-state reverify latency.  The stream alternates
-// corrupt (honest label + unique garbage suffix — size-changing, the worst
-// case for epoch storage) and restore (honest bytes back), rotating over
-// the edge set; every 8th round a prove job rides the same pool.  The
-// result cache is OFF: a soak that replays memoized verdicts measures map
-// lookups, not verification.
+// corrupt (honest label + unique garbage suffix — size-changing, so the
+// session's string for that edge may reallocate) and restore (honest bytes
+// back), rotating over the edge set; every 8th round a prove job rides the
+// same pool.  The result cache is OFF: a soak that replays memoized
+// verdicts measures map lookups, not verification.
 //
 // What a long run must show (bench/README.md has the 10-minute recipe):
 //
 //  * latency: no drift — the 10-min mean matches the smoke-run mean;
-//  * memory: bounded — `epoch_slots` stays at its compaction bound and
-//    `rss_delta_mb` flatlines instead of creeping with iteration count
-//    (the session auto-compacts epoch garbage, the sweep cache evicts);
+//  * memory: bounded — `rss_delta_mb` flatlines instead of creeping with
+//    iteration count (the session overwrites one string per edge in
+//    place, and the sweep cache evicts);
 //  * correctness: every corrupt round rejects, every restore round
 //    accepts, for the whole run (drift in either direction aborts the
 //    bench via SkipWithError).
@@ -147,8 +147,6 @@ void BM_Soak(benchmark::State& state) {
       probes > 0 ? static_cast<double>(cs.hits + cs.memoHits) / probes : 0.0;
   state.counters["cache_entries"] = static_cast<double>(cs.entries);
   state.counters["cache_evictions"] = static_cast<double>(cs.evictions);
-  state.counters["epoch_slots"] =
-      static_cast<double>(service.sessionEpochSlots(sid));
   state.counters["proves"] = static_cast<double>(proves);
   state.counters["rss_delta_mb"] =
       static_cast<double>(readRssKb() - rssBefore) / 1024.0;

@@ -11,9 +11,9 @@
 // duplicate requests a real front-end produces under retries.
 //
 // Act 2 — fault tolerance and shutdown under load, exercising the error
-// taxonomy of serve/errors.hpp.  Every failure a client can see is one of
-// four types, so handlers branch on WHAT failed instead of parsing
-// messages:
+// taxonomy of serve/errors.hpp.  Every failure the service itself raises
+// is one of three types, so handlers branch on WHAT failed instead of
+// parsing messages:
 //
 //   RejectedError          synchronous from submit*: admission control
 //                          turned the request away at maxQueueDepth; carries
@@ -22,12 +22,9 @@
 //                          before dispatch; the work never ran
 //   CancelledError         through the future: cancelPending() discarded
 //                          the job before it started
-//   TransientError         retryable; session drivers retry it up to
-//                          JobOptions::maxAttempts with doubling backoff
-//                          before it ever reaches a future
 //
-// Anything else (DecodeError, std::invalid_argument, ...) is a permanent
-// failure — retrying the identical request would fail identically.
+// Anything else (DecodeError, std::invalid_argument, ...) is the job's own
+// failure, passed through as thrown; the service never retries a job.
 
 #include <chrono>
 #include <cstdio>
@@ -115,7 +112,6 @@ int main() {
   // cache — every request is real work) so the failure paths actually fire.
   serve::ServiceOptions tight;
   tight.numThreads = 1;
-  tight.maxConcurrentJobs = 1;
   tight.enableResultCache = false;
   tight.maxQueueDepth = 4;
   serve::LaneCertService loaded(tight);

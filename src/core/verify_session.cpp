@@ -13,17 +13,17 @@ VerifySession::VerifySession(Graph g, IdAssignment ids,
                              CoreVerifierParams params)
     : g_(std::move(g)),
       ids_(std::move(ids)),
-      seedLabels_(std::move(labels)),
-      store_(seedLabels_),
+      labels_(std::move(labels)),
+      bits_(labelBits(labels_)),
       engine_(std::move(prop), params) {
-  if (seedLabels_.size() != static_cast<std::size_t>(g_.numEdges())) {
+  if (labels_.size() != static_cast<std::size_t>(g_.numEdges())) {
     throw std::invalid_argument("VerifySession: one label per edge required");
   }
 }
 
 void VerifySession::ensureIndex(ParallelExecutor& exec) {
   if (indexBuilt_) return;
-  index_ = buildIncidentEdgeIndex(g_, store_, exec);
+  index_ = buildIncidentEdgeIndex(g_, labels_, exec);
   indexBuilt_ = true;
 }
 
@@ -65,10 +65,37 @@ SimulationResult VerifySession::verifyAll(int numThreads) {
 
 std::vector<VertexId> VerifySession::applyEdits(
     std::span<const EdgeLabelEdit> edits) {
-  std::vector<VertexId> dirty = store_.applyEdits(g_, edits);
-  // Rows must track the store for every FUTURE sweep; before the first
-  // sweep there is no index yet — it is built from the current views then.
-  if (indexBuilt_) refreshIncidentEdgeRows(index_, g_, store_, dirty);
+  // An empty batch mutates nothing — same labels, same version (the
+  // serving layer uses empty batches as "run the initial sweep" requests).
+  if (edits.empty()) return {};
+  // Validate BEFORE mutating: the only failure mode is an out-of-range
+  // edge id, so checking up front makes the whole batch all-or-nothing (a
+  // throw never leaves the labels half-edited with stale index rows).
+  for (const EdgeLabelEdit& edit : edits) {
+    if (edit.edge < 0 ||
+        static_cast<std::size_t>(edit.edge) >= labels_.size()) {
+      throw std::out_of_range("VerifySession::applyEdits: edge id out of range");
+    }
+  }
+  std::vector<VertexId> dirty;
+  dirty.reserve(edits.size() * 2);
+  for (const EdgeLabelEdit& edit : edits) {
+    labels_[static_cast<std::size_t>(edit.edge)] = edit.bytes;
+    const Edge& e = g_.edge(edit.edge);
+    dirty.push_back(e.u);
+    dirty.push_back(e.v);
+  }
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  // Exact bit totals: a shrink can retire the previous maximum, so rescan
+  // the sizes (negligible next to any re-verification).
+  bits_ = labelBits(labels_);
+  ++version_;
+  // An assignment may have moved its label's bytes, so the rows of its
+  // endpoints — the only views of them — are re-pointed before any sweep
+  // reads them.  Before the first sweep there is no index yet; it is built
+  // from the current labels then.
+  if (indexBuilt_) refreshIncidentEdgeRows(index_, g_, labels_, dirty);
   // Bound the sweep cache: edits retire entry variants (superseded label
   // bytes) that identity-keyed memoization would otherwise retain for the
   // session's whole lifetime.  The cap is generous — several times the
@@ -78,29 +105,6 @@ std::vector<VertexId> VerifySession::applyEdits(
                         static_cast<std::size_t>(g_.numEdges())) +
                    1024;
   if (engine_.sweepCacheSize() > cap) engine_.clearSweepCache();
-  // Fold epoch garbage: every size-changing rewrite appends a fresh slot,
-  // so a sustained edit stream grows the store even though only one slot
-  // per label is ever live.  Compact once garbage clearly dominates (the
-  // +64 slack keeps short-lived sessions compaction-free); moved labels'
-  // endpoint rows are refreshed so the CSR index never aliases freed
-  // bytes.  Content is unchanged — verdicts and the store version are
-  // unaffected.
-  if (store_.epochSlots() > 2 * store_.ownedLabels() + 64) {
-    const std::vector<std::size_t> moved = store_.compactEpochs();
-    if (!moved.empty() && indexBuilt_) {
-      std::vector<VertexId> touched;
-      touched.reserve(moved.size() * 2);
-      for (const std::size_t e : moved) {
-        const Edge& edge = g_.edge(static_cast<EdgeId>(e));
-        touched.push_back(edge.u);
-        touched.push_back(edge.v);
-      }
-      std::sort(touched.begin(), touched.end());
-      touched.erase(std::unique(touched.begin(), touched.end()),
-                    touched.end());
-      refreshIncidentEdgeRows(index_, g_, store_, touched);
-    }
-  }
   return dirty;
 }
 
@@ -164,8 +168,8 @@ SimulationResult VerifySession::reverifyEdits(
 
 SimulationResult VerifySession::assembleResult() const {
   SimulationResult r;
-  r.maxLabelBits = store_.maxLabelBits();
-  r.totalLabelBits = store_.totalLabelBits();
+  r.maxLabelBits = bits_.maxBits;
+  r.totalLabelBits = bits_.totalBits;
   for (std::size_t vi = 0; vi < verdicts_.size(); ++vi) {
     if (verdicts_[vi] == 0) r.rejecting.push_back(static_cast<VertexId>(vi));
   }

@@ -9,8 +9,9 @@
 // throws that locality away (full sweep per query); VerifySession keeps the
 // sweep state alive between queries instead:
 //
-//  * the versioned LabelStore + CSR vertex index (runtime layer), edited in
-//    place between sweeps — applyEdits returns exactly the dirty rows;
+//  * one owned string per edge and the CSR vertex index over them (runtime
+//    layer): applyEdits overwrites the edited strings in place, re-sorts
+//    their endpoints' rows and returns exactly those dirty rows;
 //  * the per-vertex verdict vector, carried across sweeps so a re-verify
 //    only recomputes dirty rows and still reports the WHOLE graph's
 //    rejecting set;
@@ -39,7 +40,7 @@
 #include "core/verifier.hpp"
 #include "graph/graph.hpp"
 #include "pls/scheme.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 
 namespace lanecert {
 
@@ -55,10 +56,14 @@ class VerifySession {
   SimulationResult verifyAll(ParallelExecutor& exec);
   SimulationResult verifyAll(int numThreads = 1);
 
-  /// Applies the edit batch to the owned store (bumping its version) and
-  /// refreshes the dirty CSR rows; returns the dirty vertex set, ascending.
-  /// Does NOT re-verify — pass the result to reverify(), or use
-  /// reverifyEdits() to do both.
+  /// Overwrites the edited labels in batch order (a later edit of the same
+  /// edge wins), recomputes the bit totals exactly, bumps the version once
+  /// and refreshes the dirty CSR rows; returns the dirty vertex set — the
+  /// endpoints of every edited edge, ascending, deduplicated.  An empty
+  /// batch is a no-op and bumps nothing.  Throws std::out_of_range for an
+  /// edge id that is not a label index — checked up front, so a throwing
+  /// batch applies NOTHING.  Does NOT re-verify — pass the result to
+  /// reverify(), or use reverifyEdits() to do both.
   std::vector<VertexId> applyEdits(std::span<const EdgeLabelEdit> edits);
 
   /// Re-runs the verifier on `dirtyVertices` only (sharded over `exec`) and
@@ -78,15 +83,16 @@ class VerifySession {
   SimulationResult reverifyEdits(std::span<const EdgeLabelEdit> edits,
                                  int numThreads = 1);
 
-  /// Store version: 0 until the first edit, bumped once per applyEdits.
-  [[nodiscard]] std::uint64_t storeVersion() const { return store_.version(); }
+  /// Label version: 0 until the first edit, bumped once per non-empty
+  /// applyEdits.
+  [[nodiscard]] std::uint64_t storeVersion() const { return version_; }
   /// True once verifyAll has completed (reverify is allowed).
   [[nodiscard]] bool swept() const { return swept_; }
   [[nodiscard]] const Graph& graph() const { return g_; }
   [[nodiscard]] const IdAssignment& ids() const { return ids_; }
   /// Current bytes of edge `e`'s label (valid until the next applyEdits).
   [[nodiscard]] std::string_view label(EdgeId e) const {
-    return store_.view(static_cast<std::size_t>(e));
+    return labels_[static_cast<std::size_t>(e)];
   }
   /// Per-vertex verdicts of the last sweep (1 = accept), indexed by vertex.
   [[nodiscard]] std::span<const std::uint8_t> verdicts() const {
@@ -101,11 +107,10 @@ class VerifySession {
   [[nodiscard]] SweepCacheStats cacheStats() const {
     return engine_.cacheStats();
   }
-  /// Epoch slots held by the owned store.  Bounded under a sustained edit
-  /// stream: applyEdits folds garbage slots via LabelStore::compactEpochs
-  /// once they dominate the live set — the soak bench charts this to prove
-  /// memory does not creep.
-  [[nodiscard]] std::size_t epochSlots() const { return store_.epochSlots(); }
+  /// Always 0: labels are overwritten in place, so no epoch slots exist.
+  /// Kept only because lcbench reads it; the benchmark-contract change
+  /// (ROADMAP.md item 4) removes it together with those reads.
+  [[nodiscard]] std::size_t epochSlots() const { return 0; }
 
  private:
   void ensureIndex(ParallelExecutor& exec);
@@ -115,10 +120,11 @@ class VerifySession {
 
   Graph g_;
   IdAssignment ids_;
-  /// Seed label bytes; the store aliases them until an edit repoints a
-  /// label into store-owned epoch storage.
-  std::vector<std::string> seedLabels_;
-  LabelStore store_;
+  /// labels_[e] = EdgeId e's label.  Never resized, so assigning label e
+  /// can move only label e's bytes, which only its endpoints' rows view.
+  std::vector<std::string> labels_;
+  std::uint64_t version_ = 0;
+  LabelBits bits_;
   VertexLabelIndex index_;
   bool indexBuilt_ = false;
   CoreVerifierEngine engine_;

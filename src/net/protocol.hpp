@@ -44,7 +44,7 @@
 #include "mso/property.hpp"
 #include "pls/codec.hpp"
 #include "pls/scheme.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 
 namespace lanecert::net {
 

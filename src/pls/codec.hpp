@@ -112,9 +112,13 @@ class Decoder {
     pos_ += len;
     return s;
   }
+  /// One byte, 0x01 or 0x00 — the only bytes Encoder::boolean writes.  Any
+  /// other byte rejects, so no two encodings decode to the same record.
   [[nodiscard]] bool boolean() {
     if (pos_ >= data_.size()) throw DecodeError{};
-    return data_[pos_++] != '\0';
+    const char byte = data_[pos_++];
+    if (byte != '\0' && byte != '\1') throw DecodeError{};
+    return byte == '\1';
   }
   [[nodiscard]] bool atEnd() const { return pos_ == data_.size(); }
   /// Current read offset into the buffer.

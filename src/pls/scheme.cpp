@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "runtime/executor.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 
 namespace lanecert {
 
@@ -15,11 +15,12 @@ namespace {
 /// in contiguous ordered shards with per-shard reject lists, so the merged
 /// `rejecting` vector is ascending and identical for every thread count.
 template <typename CheckVertex>
-SimulationResult sweep(const Graph& g, const LabelStore& store,
+SimulationResult sweep(const Graph& g, const std::vector<std::string>& labels,
                        ParallelExecutor& exec, const CheckVertex& checkVertex) {
   SimulationResult r;
-  r.maxLabelBits = store.maxLabelBits();
-  r.totalLabelBits = store.totalLabelBits();
+  const LabelBits bits = labelBits(labels);
+  r.maxLabelBits = bits.maxBits;
+  r.totalLabelBits = bits.totalBits;
 
   const auto n = static_cast<std::size_t>(g.numVertices());
   std::vector<std::vector<VertexId>> shardRejects(
@@ -54,9 +55,8 @@ SimulationResult simulateEdgeScheme(const Graph& g, const IdAssignment& ids,
   if (labels.size() != static_cast<std::size_t>(g.numEdges())) {
     throw std::invalid_argument("simulateEdgeScheme: one label per edge required");
   }
-  const LabelStore store(labels);
-  const VertexLabelIndex index = buildIncidentEdgeIndex(g, store, exec);
-  return sweep(g, store, exec, [&](VertexId v) {
+  const VertexLabelIndex index = buildIncidentEdgeIndex(g, labels, exec);
+  return sweep(g, labels, exec, [&](VertexId v) {
     EdgeView view;
     view.selfId = ids.id(v);
     view.incidentLabels = index.row(v);
@@ -79,12 +79,11 @@ SimulationResult simulateVertexScheme(const Graph& g, const IdAssignment& ids,
   if (labels.size() != static_cast<std::size_t>(g.numVertices())) {
     throw std::invalid_argument("simulateVertexScheme: one label per vertex required");
   }
-  const LabelStore store(labels);
-  const VertexLabelIndex index = buildNeighborIndex(g, store, exec);
-  return sweep(g, store, exec, [&](VertexId v) {
+  const VertexLabelIndex index = buildNeighborIndex(g, labels, exec);
+  return sweep(g, labels, exec, [&](VertexId v) {
     VertexView view;
     view.selfId = ids.id(v);
-    view.selfLabel = store.view(static_cast<std::size_t>(v));
+    view.selfLabel = labels[static_cast<std::size_t>(v)];
     view.neighborLabels = index.row(v);
     return verify(view);
   });

@@ -5,10 +5,8 @@
 
 namespace lanecert::serve {
 
-BatchScheduler::BatchScheduler(WorkerPool& pool, int maxConcurrent)
-    : pool_(pool),
-      maxConcurrent_(maxConcurrent > 0 ? maxConcurrent
-                                       : std::max(1, pool.workerCount())) {}
+BatchScheduler::BatchScheduler(WorkerPool& pool)
+    : pool_(pool), maxConcurrent_(std::max(1, pool.workerCount())) {}
 
 BatchScheduler::~BatchScheduler() { drain(); }
 

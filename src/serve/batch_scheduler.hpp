@@ -3,7 +3,7 @@
 //
 // The scheduler sits between submit() and the shared WorkerPool: pending
 // jobs wait in a smallest-estimated-cost-first queue (FIFO among equals),
-// and at most `maxConcurrent` drivers run on the pool at once.  Two rules
+// and at most one driver per pool worker runs at once.  Two rules
 // make small jobs immune to convoy effects behind large ones:
 //
 //  * admission order — a cheap job submitted after an expensive one
@@ -38,8 +38,8 @@ namespace lanecert::serve {
 
 class BatchScheduler {
  public:
-  /// `maxConcurrent <= 0` resolves to pool.workerCount() (never below 1).
-  BatchScheduler(WorkerPool& pool, int maxConcurrent);
+  /// Runs at most pool.workerCount() jobs at once (never fewer than 1).
+  explicit BatchScheduler(WorkerPool& pool);
   /// Drains; the pool must still be alive (the service owns both and
   /// declares the scheduler after the pool).
   ~BatchScheduler();
@@ -61,8 +61,6 @@ class BatchScheduler {
   /// callback; running jobs are unaffected.  Returns how many were
   /// cancelled.
   std::size_t cancelPending();
-
-  [[nodiscard]] int maxConcurrent() const { return maxConcurrent_; }
 
   /// Jobs admitted but not yet started (the backlog admission control in
   /// LaneCertService bounds).  Running jobs do not count.

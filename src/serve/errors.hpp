@@ -11,19 +11,17 @@
 //   │                         batches) before it started
 //   ├─ DeadlineExceededError— the job's JobOptions::deadline passed before
 //   │                         the job was dispatched; the work never ran
-//   ├─ RejectedError        — admission control: the scheduler queue was at
-//   │                         ServiceOptions::maxQueueDepth when submit was
-//   │                         called.  Thrown SYNCHRONOUSLY from submit*,
-//   │                         never through a future; carries a retry-after
-//   │                         hint scaled by the current backlog
-//   └─ TransientError       — a retryable failure (resource blip, injected
-//                             fault).  Session drivers retry these up to
-//                             JobOptions::maxAttempts with doubling backoff
-//                             before letting them reach the future.
+//   └─ RejectedError        — admission control: the scheduler queue was at
+//                             ServiceOptions::maxQueueDepth when submit was
+//                             called.  Thrown SYNCHRONOUSLY from submit*,
+//                             never through a future; carries a retry-after
+//                             hint scaled by the current backlog
 //
 // Anything else propagating through a future (std::invalid_argument,
-// DecodeError, prover errors, ...) is a permanent job failure: retrying the
-// identical request would fail identically, so the service never retries it.
+// DecodeError, prover errors, ...) is the job's own failure, passed through
+// as thrown.  The service never retries a job: prove and verify jobs are
+// pure, and an edit batch is a list of absolute label rewrites, so a client
+// may resubmit any of them.
 
 #include <chrono>
 #include <stdexcept>
@@ -70,15 +68,6 @@ class RejectedError : public ServeError {
 
  private:
   std::chrono::milliseconds retryAfter_;
-};
-
-/// A retryable failure.  Throw (or inject) this to mark an error as safe to
-/// retry: re-running the job cannot double-apply anything (reverify edit
-/// batches are absolute label rewrites, prove/verify jobs are pure).
-class TransientError : public ServeError {
- public:
-  TransientError() : ServeError("serve: transient failure") {}
-  explicit TransientError(const std::string& what) : ServeError(what) {}
 };
 
 }  // namespace lanecert::serve

@@ -4,9 +4,9 @@
 //
 // The service fires a site marker at each stage boundary (label decode,
 // prover plan build, verification sweep, session batch).  Tests arm a hook
-// that may throw (TransientError for retryable blips, anything else for
-// permanent poison) or sleep (latency injection); production never arms
-// anything, so the cost on the hot path is one relaxed atomic load.
+// that may throw (the exception fails the job at that stage) or sleep
+// (latency injection); production never arms anything, so the cost on the
+// hot path is one relaxed atomic load.
 //
 // The hook runs on whatever pool thread hit the site, so it must be
 // thread-safe.  The hook is copied under a mutex and invoked outside it (a

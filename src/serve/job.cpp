@@ -91,21 +91,9 @@ std::string verifyJobKey(const VerifyJob& job) {
   enc.u64(reinterpret_cast<std::uintptr_t>(job.labels.get()));
   enc.u64(job.labels ? job.labels->size() : 0);
   // Content version: identity pins the BUFFER, the version pins the BYTES
-  // in it.  A store-backed payload edited in place resubmits with a bumped
-  // version and misses the stale entry instead of replaying its verdict.
+  // in it.  A payload edited in place resubmits with a bumped version and
+  // misses the stale entry instead of replaying its verdict.
   enc.u64(job.labelsVersion);
-  return enc.take();
-}
-
-std::string reverifyJobKey(const ReverifyJob& job) {
-  Encoder enc;
-  enc.bytes("reverify");
-  enc.u64(job.session);
-  enc.u64(job.edits.size());
-  for (const EdgeLabelEdit& e : job.edits) {
-    enc.i64(e.edge);
-    enc.bytes(e.bytes);
-  }
   return enc.take();
 }
 

@@ -25,7 +25,7 @@
 #include "graph/graph.hpp"
 #include "interval/interval.hpp"
 #include "mso/property.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 
 namespace lanecert::serve {
 
@@ -41,12 +41,6 @@ struct JobOptions {
   /// coalescing: sharing one computation between requests with different
   /// deadlines would let one caller's deadline fail another's future.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Total attempts for TransientError failures (session drivers only —
-  /// prove/verify jobs are pure and cheap to resubmit from the client).
-  /// 1 = no retry.
-  int maxAttempts = 1;
-  /// Sleep before the first retry; doubles per subsequent attempt.
-  std::chrono::milliseconds retryBackoff{1};
 
   [[nodiscard]] bool expired() const {
     return deadline && std::chrono::steady_clock::now() > *deadline;
@@ -80,8 +74,7 @@ struct VerifyJob {
   CoreVerifierParams params{};
   /// Version of the label payload's CONTENT.  Participates in the cache
   /// key alongside the payload identity: a caller that rewrites a payload
-  /// buffer in place (the versioned-LabelStore world makes that a
-  /// legitimate move) bumps the version so mutation invalidates stale
+  /// buffer in place bumps the version so mutation invalidates stale
   /// verify hits instead of serving them.  Callers that never mutate can
   /// leave it 0 — identity alone then pins the bytes as before.
   std::uint64_t labelsVersion = 0;
@@ -131,11 +124,5 @@ struct ReverifyJob {
 /// wrong answer.
 [[nodiscard]] std::string proveJobKey(const ProveJob& job);
 [[nodiscard]] std::string verifyJobKey(const VerifyJob& job);
-/// Identity of a reverify request: session handle + exact edit bytes.
-/// Reverify results are NEVER result-cached (each batch advances session
-/// state), but duplicate submissions of the same batch at the same queue
-/// position — front-end retries — coalesce onto one pending computation
-/// through this key.
-[[nodiscard]] std::string reverifyJobKey(const ReverifyJob& job);
 
 }  // namespace lanecert::serve

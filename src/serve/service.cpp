@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "core/verifier.hpp"
@@ -26,7 +25,7 @@ LaneCertService::LaneCertService(ServiceOptions options)
                      ? nullptr
                      : std::make_unique<snapshot::SnapshotStore>(
                            options.snapshotDir)),
-      sched_(pool_, options.maxConcurrentJobs) {}
+      sched_(pool_) {}
 
 LaneCertService::~LaneCertService() = default;  // sched_ drains first
 
@@ -334,10 +333,6 @@ SweepCacheStats LaneCertService::sessionCacheStats(
   return findSession(session)->session->cacheStats();
 }
 
-std::size_t LaneCertService::sessionEpochSlots(std::uint64_t session) const {
-  return findSession(session)->session->epochSlots();
-}
-
 void LaneCertService::closeVerifySession(std::uint64_t session) {
   std::lock_guard<std::mutex> lock(sessionsMu_);
   sessions_.erase(session);  // drivers hold shared_ptrs; state stays valid
@@ -347,9 +342,6 @@ std::shared_future<SimulationResult> LaneCertService::submitReverify(
     ReverifyJob job) {
   admitOrReject();
   const std::shared_ptr<VerifySessionEntry> entry = findSession(job.session);
-  std::string key = options_.enableResultCache && !job.options.deadline
-                        ? reverifyJobKey(job)
-                        : std::string{};
   std::lock_guard<std::mutex> lock(entry->mu);
   // Until the session has COMPLETED a full sweep (not merely had one
   // queued — a cancelled or failed first batch leaves it unswept), any
@@ -357,20 +349,10 @@ std::shared_future<SimulationResult> LaneCertService::submitReverify(
   // and must be costed like one; afterwards a batch costs its dirty set.
   const std::size_t cost =
       entry->sweptMirror ? estimatedCost(job) : entry->fullSweepCost;
-  // Tail coalescing: a duplicate of the batch at the queue tail (front-end
-  // retry) shares the pending computation instead of applying the edits
-  // twice.  Earlier positions never coalesce — each batch advances session
-  // state, so only "same edits at the same state" is the same request.
-  if (!key.empty() && !entry->queue.empty() &&
-      entry->queue.back().key == key) {
-    bump(&ServiceStats::resultCacheHits);
-    return entry->queue.back().future;
-  }
   auto prom = std::make_shared<std::promise<SimulationResult>>();
   std::shared_future<SimulationResult> fut = prom->get_future().share();
   entry->queue.push_back(VerifySessionEntry::PendingBatch{
-      std::move(job.edits), std::move(key), job.options, std::move(prom),
-      fut});
+      std::move(job.edits), job.options, std::move(prom)});
   if (!entry->running) {
     // One driver per session at a time keeps batches FIFO whatever the
     // scheduler's cost order does to OTHER jobs, and makes the "small
@@ -397,39 +379,18 @@ void LaneCertService::runSessionDriver(
       batch = std::move(entry->queue.front());
       entry->queue.pop_front();
     }
-    bool success = false;
     std::exception_ptr error;
     SimulationResult result;
-    // Bounded retry for TRANSIENT failures only.  Safe to re-run: an edit
-    // batch is a list of absolute label rewrites, so re-applying it after a
-    // partial attempt converges to the same store state, and the session's
-    // dirty tracking re-checks the same rows.  Permanent errors (decode
-    // failures, bad arguments) fail the batch on the first attempt.
-    const int attempts = std::max(1, batch.options.maxAttempts);
-    std::chrono::milliseconds backoff = batch.options.retryBackoff;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
+    try {
       if (batch.options.expired()) {
         bump(&ServiceStats::deadlineExpiredJobs);
-        error = std::make_exception_ptr(DeadlineExceededError{});
-        break;
+        throw DeadlineExceededError{};
       }
-      if (attempt > 0) {
-        bump(&ServiceStats::transientRetries);
-        std::this_thread::sleep_for(backoff);
-        backoff *= 2;
-      }
-      try {
-        FaultInjector::fire(FaultSite::kSweep);
-        ParallelExecutor exec(pool_);
-        result = entry->session->reverifyEdits(batch.edits, exec);
-        success = true;
-        break;
-      } catch (const TransientError&) {
-        error = std::current_exception();  // retried until attempts run out
-      } catch (...) {
-        error = std::current_exception();
-        break;
-      }
+      FaultInjector::fire(FaultSite::kSweep);
+      ParallelExecutor exec(pool_);
+      result = entry->session->reverifyEdits(batch.edits, exec);
+    } catch (...) {
+      error = std::current_exception();
     }
     {
       // Mirror BEFORE resolving the promise, so a client that just
@@ -438,11 +399,11 @@ void LaneCertService::runSessionDriver(
       entry->versionMirror = entry->session->storeVersion();
       entry->sweptMirror = entry->session->swept();
     }
-    if (success) {
+    if (error) {
+      batch.promise->set_exception(error);
+    } else {
       batch.promise->set_value(std::move(result));
       bump(&ServiceStats::reverifyBatchesCompleted);
-    } else {
-      batch.promise->set_exception(error);
     }
   }
 }

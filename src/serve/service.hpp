@@ -34,15 +34,14 @@
 //
 // Verification sessions (incremental re-verification): openVerifySession
 // turns a VerifyJob into a persistent VerifySession — the labels are copied
-// into a session-owned versioned LabelStore, and subsequent ReverifyJobs
-// apply edit batches and re-check only the dirty vertices, with verdicts
-// byte-identical to a fresh full sweep over the current labels.  Batches on
-// ONE session run strictly in submission order: the registry runs at most
-// one scheduler-admitted driver per session at a time (so the smallest-
-// first scheduler can never reorder a session's state mutations), while
-// different sessions' drivers interleave freely with all other jobs.
-// Duplicate submissions of the batch at the queue tail (front-end retries)
-// coalesce onto one pending computation via reverifyJobKey.
+// into the session, which owns and overwrites them, and subsequent
+// ReverifyJobs apply edit batches and re-check only the dirty vertices,
+// with verdicts byte-identical to a fresh full sweep over the current
+// labels.  Batches on ONE session run strictly in submission order, each
+// exactly once: the registry runs at most one scheduler-admitted driver
+// per session at a time (so the smallest-first scheduler can never reorder
+// a session's state mutations), while different sessions' drivers
+// interleave freely with all other jobs.
 //
 // Shutdown: the destructor DRAINS — every submitted job completes and every
 // future becomes ready.  cancelPending() instead discards jobs that have
@@ -52,12 +51,11 @@
 // Fault tolerance (see serve/errors.hpp for the taxonomy): per-job
 // deadlines fail un-dispatched jobs with DeadlineExceededError; admission
 // control (ServiceOptions::maxQueueDepth) turns submit* calls away with a
-// synchronous RejectedError + retry-after hint; session drivers retry
-// TransientError batch failures up to JobOptions::maxAttempts with doubling
-// backoff (edit batches are absolute label rewrites, so re-running one is
-// idempotent).  The invariant all of it preserves: every future the service
-// ever RETURNED resolves — with a value or a typed error — even under
-// injected faults (serve/fault.hpp) at every stage boundary.
+// synchronous RejectedError + retry-after hint; a reverify batch that
+// throws fails its own future, and the session's next batch still runs.
+// The invariant all of it preserves: every future the service ever
+// RETURNED resolves — with a value or a typed error — even under injected
+// faults (serve/fault.hpp) at every stage boundary.
 
 #include <cstddef>
 #include <cstdint>
@@ -85,12 +83,10 @@ class SnapshotStore;
 namespace lanecert::serve {
 
 struct ServiceOptions {
-  /// Worker threads of the shared pool; <= 0 resolves to the hardware
-  /// concurrency (at least 1 — jobs run on pool threads, never on the
-  /// submitter's).
+  /// Worker threads of the shared pool, and the number of jobs in flight
+  /// at once; <= 0 resolves to the hardware concurrency (at least 1 — jobs
+  /// run on pool threads, never on the submitter's).
   int numThreads = 0;
-  /// Max jobs in flight at once; <= 0 resolves to the pool size.
-  int maxConcurrentJobs = 0;
   bool enableResultCache = true;
   /// Admission control: when > 0 and the scheduler backlog (admitted, not
   /// yet started jobs) has reached this depth, submit* throws RejectedError
@@ -128,9 +124,6 @@ struct ServiceStats {
   /// Jobs/batches whose deadline passed before dispatch
   /// (DeadlineExceededError; the work never ran).
   std::uint64_t deadlineExpiredJobs = 0;
-  /// TransientError retries performed by session drivers (attempts beyond
-  /// each batch's first).
-  std::uint64_t transientRetries = 0;
   std::uint64_t sessionsOpened = 0;
   std::uint64_t reverifyBatchesCompleted = 0;
   /// Sweep-entry-cache counters summed over the OPEN verification sessions
@@ -172,8 +165,8 @@ class LaneCertService {
   std::shared_future<SimulationResult> submitVerify(VerifyJob job);
 
   /// Opens a persistent verification session over the job's configuration;
-  /// the label payload is COPIED into the session's own versioned store, so
-  /// the caller's buffer is never touched by edits.  Cheap — no sweep runs
+  /// the label payload is COPIED into the session, so the caller's buffer
+  /// is never touched by edits.  Cheap — no sweep runs
   /// until the first ReverifyJob.  Throws std::invalid_argument on a null
   /// payload or a label-count mismatch.
   std::uint64_t openVerifySession(VerifyJob job);
@@ -182,16 +175,12 @@ class LaneCertService {
   /// the whole-graph SimulationResult over the post-edit labels.  Throws
   /// std::invalid_argument for an unknown/closed session handle.
   std::shared_future<SimulationResult> submitReverify(ReverifyJob job);
-  /// Current store version of an open session (0 = never edited).
+  /// Current label version of an open session (0 = never edited).
   [[nodiscard]] std::uint64_t sessionStoreVersion(std::uint64_t session) const;
   /// Sweep-cache counters of ONE open session (throws std::invalid_argument
   /// for an unknown/closed handle).  Snapshot of relaxed atomics: exact
   /// once the session is quiescent, approximate while a sweep runs.
   [[nodiscard]] SweepCacheStats sessionCacheStats(std::uint64_t session) const;
-  /// Epoch slots held by ONE open session's label store (soak memory
-  /// metric; bounded by the session's auto-compaction).  Same handle and
-  /// quiescence caveats as sessionCacheStats.
-  [[nodiscard]] std::size_t sessionEpochSlots(std::uint64_t session) const;
   /// Closes a session: the handle becomes invalid for NEW submissions;
   /// batches already queued still complete.  Idempotent.
   void closeVerifySession(std::uint64_t session);
@@ -218,17 +207,15 @@ class LaneCertService {
   struct VerifySessionEntry {
     struct PendingBatch {
       std::vector<EdgeLabelEdit> edits;
-      std::string key;  ///< reverifyJobKey, empty when caching is off
       JobOptions options;
       std::shared_ptr<std::promise<SimulationResult>> promise;
-      std::shared_future<SimulationResult> future;
     };
     std::mutex mu;
     std::unique_ptr<VerifySession> session;
     std::deque<PendingBatch> queue;
     bool running = false;           ///< a driver is admitted or active
     bool sweptMirror = false;       ///< session completed a full sweep
-    std::uint64_t versionMirror = 0;  ///< store version, readable under mu
+    std::uint64_t versionMirror = 0;  ///< label version, readable under mu
     /// Scheduling weight used while the session has not yet COMPLETED a
     /// full sweep: such batches run the initial whole-graph sweep whatever
     /// their edit lists say — costing them like the edits alone would

@@ -1,5 +1,5 @@
-// Serve-layer fault tolerance: deadlines, admission control, bounded
-// retry, and graceful degradation under injected faults.
+// Serve-layer fault tolerance: deadlines, admission control, and graceful
+// degradation under injected faults.
 //
 // The invariant every test here circles back to: a future the service ever
 // RETURNED resolves — with a value or a typed error from serve/errors.hpp —
@@ -16,6 +16,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -42,8 +43,13 @@ using serve::ProveJob;
 using serve::RejectedError;
 using serve::ReverifyJob;
 using serve::ServiceOptions;
-using serve::TransientError;
 using serve::VerifyJob;
+
+/// What the fault hooks below throw: the service passes a hook's exception
+/// through to the future of the job that hit the site, as thrown.
+struct InjectedFault : std::runtime_error {
+  InjectedFault() : std::runtime_error("injected fault") {}
+};
 
 struct Fixture {
   Graph graph;
@@ -131,7 +137,6 @@ TEST(ServeBackpressure, SaturatedQueueRejectsWithRetryAfter) {
   // job B waits in the backlog, job C must be turned away synchronously.
   ServiceOptions opts;
   opts.numThreads = 1;
-  opts.maxConcurrentJobs = 1;
   opts.maxQueueDepth = 1;
   opts.enableResultCache = false;  // B must queue, not coalesce with A
   std::mutex mu;
@@ -178,11 +183,11 @@ TEST(ServeFault, PoisonedProveFailsItsFutureOnly) {
   LaneCertService service(ServiceOptions{});
   {
     FaultScope scope([](FaultSite site) {
-      if (site == FaultSite::kPlanBuild) throw TransientError{};
+      if (site == FaultSite::kPlanBuild) throw InjectedFault{};
     });
     auto poisoned =
         service.submitProve(ProveJob{f.graph, f.ids, f.property, {}});
-    EXPECT_THROW((void)poisoned.get(), TransientError);
+    EXPECT_THROW((void)poisoned.get(), InjectedFault);
     service.drain();
   }
   // Failed results are evicted, the pool survived: the retry computes.
@@ -198,8 +203,7 @@ TEST(ServeFault, FailedPlanBuildFailsItsCoalescedWaiters) {
   // in-flight slot is gone, and a retry builds afresh.
   const Fixture f = cycleFixture();
   ServiceOptions opts;
-  opts.numThreads = 2;
-  opts.maxConcurrentJobs = 2;  // the waiter runs while the builder is held
+  opts.numThreads = 2;  // the waiter runs while the builder is held
   LaneCertService service(opts);
   std::mutex mu;
   std::condition_variable cv;
@@ -212,7 +216,7 @@ TEST(ServeFault, FailedPlanBuildFailsItsCoalescedWaiters) {
       held = true;
       cv.notify_all();
       cv.wait(lock, [&] { return release; });
-      throw TransientError{};
+      throw InjectedFault{};
     });
     auto builder =
         service.submitProve(ProveJob{f.graph, f.ids, f.property, {}});
@@ -232,8 +236,8 @@ TEST(ServeFault, FailedPlanBuildFailsItsCoalescedWaiters) {
       release = true;
     }
     cv.notify_all();
-    EXPECT_THROW((void)builder.get(), TransientError);
-    EXPECT_THROW((void)waiter.get(), TransientError);
+    EXPECT_THROW((void)builder.get(), InjectedFault);
+    EXPECT_THROW((void)waiter.get(), InjectedFault);
     service.drain();
   }
   EXPECT_EQ(service.stats().planBuilds, 1u);
@@ -248,19 +252,19 @@ TEST(ServeFault, EverySiteFailsTyped) {
        {FaultSite::kDecode, FaultSite::kPlanBuild, FaultSite::kSweep}) {
     LaneCertService service(ServiceOptions{});
     FaultScope scope([site](FaultSite fired) {
-      if (fired == site) throw TransientError{};
+      if (fired == site) throw InjectedFault{};
     });
     auto prove = service.submitProve(ProveJob{f.graph, f.ids, f.property, {}});
     auto verify = service.submitVerify(
         VerifyJob{f.graph, f.ids, f.payload, f.property, {}});
     if (site == FaultSite::kPlanBuild) {
-      EXPECT_THROW((void)prove.get(), TransientError)
+      EXPECT_THROW((void)prove.get(), InjectedFault)
           << serve::faultSiteName(site);
     } else {
       EXPECT_EQ(prove.get().labels, f.expected.labels);
     }
     if (site == FaultSite::kDecode || site == FaultSite::kSweep) {
-      EXPECT_THROW((void)verify.get(), TransientError)
+      EXPECT_THROW((void)verify.get(), InjectedFault)
           << serve::faultSiteName(site);
     } else {
       EXPECT_TRUE(verify.get().allAccept);
@@ -268,50 +272,32 @@ TEST(ServeFault, EverySiteFailsTyped) {
     if (site == FaultSite::kDecode) {
       EXPECT_THROW((void)service.openVerifySession(VerifyJob{
                        f.graph, f.ids, f.payload, f.property, {}}),
-                   TransientError);
+                   InjectedFault);
     }
     service.drain();
   }
 }
 
-TEST(ServeFault, ReverifyRetriesTransientThenSucceeds) {
-  const Fixture f = cycleFixture();
-  LaneCertService service(ServiceOptions{});
-  const std::uint64_t sid = service.openVerifySession(
-      VerifyJob{f.graph, f.ids, f.payload, f.property, {}});
-  std::atomic<int> sweepFires{0};
-  FaultScope scope([&](FaultSite site) {
-    if (site == FaultSite::kSweep && ++sweepFires <= 2) throw TransientError{};
-  });
-  JobOptions retrying;
-  retrying.maxAttempts = 3;
-  retrying.retryBackoff = 1ms;
-  auto fut = service.submitReverify(ReverifyJob{sid, {}, retrying});
-  EXPECT_TRUE(fut.get().allAccept);
-  service.drain();
-  EXPECT_EQ(service.stats().transientRetries, 2u);
-}
-
-TEST(ServeFault, ReverifyExhaustsRetriesThenSessionSurvives) {
+TEST(ServeFault, FailedReverifyBatchLeavesSessionServing) {
   const Fixture f = cycleFixture();
   LaneCertService service(ServiceOptions{});
   const std::uint64_t sid = service.openVerifySession(
       VerifyJob{f.graph, f.ids, f.payload, f.property, {}});
   {
     FaultScope scope([](FaultSite site) {
-      if (site == FaultSite::kSweep) throw TransientError{};
+      if (site == FaultSite::kSweep) throw InjectedFault{};
     });
-    JobOptions retrying;
-    retrying.maxAttempts = 2;
-    retrying.retryBackoff = 1ms;
-    auto fut = service.submitReverify(ReverifyJob{sid, {}, retrying});
-    EXPECT_THROW((void)fut.get(), TransientError);
+    // The batch runs once: the fault fails its future, nothing retries.
+    auto fut = service.submitReverify(ReverifyJob{sid, {}});
+    EXPECT_THROW((void)fut.get(), InjectedFault);
     service.drain();
-    EXPECT_EQ(service.stats().transientRetries, 1u);
   }
-  // The exhausted batch poisoned nothing: the session still serves.
+  EXPECT_EQ(service.stats().reverifyBatchesCompleted, 0u);
+  // The failed batch poisoned nothing: the session still serves.
   auto fut = service.submitReverify(ReverifyJob{sid, {}});
   EXPECT_TRUE(fut.get().allAccept);
+  service.drain();  // the counter is bumped after the future resolves
+  EXPECT_EQ(service.stats().reverifyBatchesCompleted, 1u);
 }
 
 TEST(ServeFault, NonFaultedPathBitIdenticalAcrossThreadCounts) {
@@ -335,7 +321,7 @@ TEST(ServeFault, NonFaultedPathBitIdenticalAcrossThreadCounts) {
 
 TEST(ServeFault, EveryFutureResolvesUnderChaos) {
   // The headline property test: a storm of jobs under randomly-firing
-  // transient faults, expired deadlines, and a mid-flight cancelPending().
+  // injected faults, expired deadlines, and a mid-flight cancelPending().
   // Every future must come back READY with a value or a typed error.
   const Fixture f = cycleFixture();
   std::atomic<std::uint32_t> fires{0};
@@ -343,7 +329,7 @@ TEST(ServeFault, EveryFutureResolvesUnderChaos) {
     // Deterministic pseudo-random ~1/3 failure rate, any site.
     if ((fires.fetch_add(1, std::memory_order_relaxed) * 2654435761u) % 3 ==
         0) {
-      throw TransientError{};
+      throw InjectedFault{};
     }
   });
   ServiceOptions opts;
@@ -358,7 +344,7 @@ TEST(ServeFault, EveryFutureResolvesUnderChaos) {
       try {
         return service.openVerifySession(
             VerifyJob{f.graph, f.ids, f.payload, f.property, {}});
-      } catch (const TransientError&) {
+      } catch (const InjectedFault&) {
       }
     }
   }());
@@ -372,10 +358,7 @@ TEST(ServeFault, EveryFutureResolvesUnderChaos) {
     sims.push_back(
         service.submitVerify(VerifyJob{f.graph, f.ids, f.payload, f.property,
                                        {}, static_cast<std::uint64_t>(i)}));
-    JobOptions retrying;
-    retrying.maxAttempts = 2;
-    retrying.retryBackoff = 1ms;
-    sims.push_back(service.submitReverify(ReverifyJob{sid, {}, retrying}));
+    sims.push_back(service.submitReverify(ReverifyJob{sid, {}}));
     if (i == 12) (void)service.cancelPending();
   }
   service.drain();
@@ -383,7 +366,7 @@ TEST(ServeFault, EveryFutureResolvesUnderChaos) {
     ASSERT_EQ(fut.wait_for(0s), std::future_status::ready);
     try {
       (void)fut.get();  // a value is fine
-    } catch (const TransientError&) {
+    } catch (const InjectedFault&) {
     } catch (const CancelledError&) {
     } catch (const DeadlineExceededError&) {
     } catch (...) {

@@ -14,6 +14,8 @@
 //    proportional allocation (Decoder::remaining bounds every list
 //    reserve — a 3-byte buffer claiming 2^16 elements is provably
 //    malformed);
+//  * no single-nibble flip of a real labeling decodes to the very record
+//    it came from (a boolean byte has exactly two legal values);
 //  * the mutator itself is deterministic (same seed, same mutant) and its
 //    classifier agrees with the real decoder.
 
@@ -153,6 +155,50 @@ TEST(DecoderHardening, HostileLengthPrefixRejectsWithoutOverReserve) {
       // rejected — the only acceptable failure mode
     }
   }
+}
+
+TEST(DecoderHardening, NibbleFlipsNeverDecodeToTheSameLabel) {
+  // A boolean is one byte, 0x01 or 0x00; 0x11 or 0xf1 must not read as true.
+  for (const char byte : {'\x02', '\x10', '\x11', '\xf1', '\xff'}) {
+    const std::string buf(1, byte);
+    Decoder dec{std::string_view(buf)};
+    EXPECT_THROW((void)dec.boolean(), DecodeError)
+        << static_cast<int>(static_cast<unsigned char>(byte));
+  }
+  // Every single-nibble mutant of every label of an honest labeling either
+  // fails to decode or decodes to a different record: a mutant that
+  // re-encodes to the original bytes is an alias the verifier cannot tell
+  // from the honest label, so it would accept it.
+  const Graph g = cycleGraph(6);
+  const auto ids = IdAssignment::identity(6);
+  const auto proved = proveCore(g, ids, *makeConnectivity(), nullptr, 1);
+  ASSERT_TRUE(proved.propertyHolds);
+  std::size_t mutants = 0;
+  std::vector<std::string> aliases;
+  for (std::size_t l = 0; l < proved.labels.size(); ++l) {
+    const std::string& label = proved.labels[l];
+    for (std::size_t at = 0; at < label.size(); ++at) {
+      for (const int flip : {0x0f, 0xf0}) {
+        std::string mutant = label;
+        mutant[at] = static_cast<char>(mutant[at] ^ flip);
+        ++mutants;
+        try {
+          if (EdgeLabel::decode(mutant).encoded() == label) {
+            aliases.push_back("label " + std::to_string(l) + " byte " +
+                              std::to_string(at) + " ^ " +
+                              std::to_string(flip));
+          }
+        } catch (const DecodeError&) {
+          // rejected: a label that fails to decode fails its endpoints
+        }
+      }
+    }
+  }
+  EXPECT_GT(mutants, 1000u);
+  EXPECT_TRUE(aliases.empty())
+      << aliases.size() << " of " << mutants
+      << " mutants decode to their honest label, first: "
+      << (aliases.empty() ? std::string() : aliases.front());
 }
 
 TEST(FuzzMutator, DeterministicAndClassifierAgreesWithDecoder) {

@@ -1,5 +1,5 @@
-// Incremental re-verification: the versioned LabelStore and the resumable
-// VerifySession.
+// Incremental re-verification: the per-vertex label index and the
+// resumable VerifySession, which owns its labels and overwrites them.
 //
 // The invariant under test is the session's core promise: after ANY
 // sequence of edit batches — byte flips, grown/shrunk labels, restored
@@ -23,7 +23,7 @@
 #include "mso/properties.hpp"
 #include "pls/scheme.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 
 namespace lanecert {
 namespace {
@@ -36,68 +36,87 @@ void expectSameResult(const SimulationResult& got,
   EXPECT_EQ(got.totalLabelBits, want.totalLabelBits);
 }
 
-// --- LabelStore: versioning, dirty sets, epoch storage --------------------
+// --- Label index and VerifySession::applyEdits ----------------------------
 
-TEST(LabelStore, ApplyEditsVersionsDirtySetAndBitStats) {
+TEST(VerifySession, ApplyEditsVersionsDirtySetAndBitStats) {
   const Graph g = pathGraph(4);  // edges 0:{0,1} 1:{1,2} 2:{2,3}
+  const auto ids = IdAssignment::identity(4);
   const std::vector<std::string> labels = {"aa", "bb", "cc"};
-  LabelStore store(labels);
-  EXPECT_EQ(store.version(), 0u);
-  EXPECT_EQ(store.maxLabelBits(), 16u);
-  EXPECT_EQ(store.totalLabelBits(), 48u);
+  VerifySession session(g, ids, labels, makeConnectivity());
+  EXPECT_EQ(session.storeVersion(), 0u);
+  ParallelExecutor exec(1);
+  SimulationResult r = session.verifyAll(exec);
+  EXPECT_EQ(r.maxLabelBits, 16u);
+  EXPECT_EQ(r.totalLabelBits, 48u);
 
   // Grow one label, shrink another: dirty set = endpoints, ascending and
   // deduplicated (vertex 2 touches both edits once).
   const std::vector<EdgeLabelEdit> batch1 = {{1, "dddd"}, {2, "e"}};
-  EXPECT_EQ(store.applyEdits(g, batch1), (std::vector<VertexId>{1, 2, 3}));
-  EXPECT_EQ(store.version(), 1u);
-  EXPECT_EQ(store.view(1), "dddd");
-  EXPECT_EQ(store.view(2), "e");
-  EXPECT_EQ(store.maxLabelBits(), 32u);
-  EXPECT_EQ(store.totalLabelBits(), (2 + 4 + 1) * 8u);
-  EXPECT_EQ(labels[1], "bb");  // caller bytes are never written through
+  const std::vector<VertexId> dirty = session.applyEdits(batch1);
+  EXPECT_EQ(dirty, (std::vector<VertexId>{1, 2, 3}));
+  EXPECT_EQ(session.storeVersion(), 1u);
+  EXPECT_EQ(session.label(1), "dddd");
+  EXPECT_EQ(session.label(2), "e");
+  r = session.reverify(dirty, exec);
+  EXPECT_EQ(r.maxLabelBits, 32u);
+  EXPECT_EQ(r.totalLabelBits, (2 + 4 + 1) * 8u);
 
-  // Same-size rewrite of a store-owned label lands in place: the bytes
-  // change, the address (which outstanding CSR rows alias) does not.
-  const char* addr = store.view(1).data();
-  const std::vector<EdgeLabelEdit> batch2 = {{1, "DDDD"}};
-  EXPECT_EQ(store.applyEdits(g, batch2), (std::vector<VertexId>{1, 2}));
-  EXPECT_EQ(store.view(1).data(), addr);
-  EXPECT_EQ(store.view(1), "DDDD");
-  EXPECT_EQ(store.version(), 2u);
+  // A later edit of the same edge wins; the version bumps once per batch.
+  const std::vector<EdgeLabelEdit> batch2 = {{1, "x"}, {0, "a"}, {1, "yyy"}};
+  EXPECT_EQ(session.applyEdits(batch2), (std::vector<VertexId>{0, 1, 2}));
+  EXPECT_EQ(session.label(1), "yyy");
+  EXPECT_EQ(session.storeVersion(), 2u);
+  r = session.reverifyEdits({}, exec);
+  EXPECT_EQ(r.maxLabelBits, 24u);
+  EXPECT_EQ(r.totalLabelBits, (1 + 3 + 1) * 8u);
 
   // Empty batches are no-ops; out-of-range batches apply NOTHING.
-  EXPECT_TRUE(store.applyEdits(g, {}).empty());
-  EXPECT_EQ(store.version(), 2u);
+  EXPECT_TRUE(session.applyEdits({}).empty());
+  EXPECT_EQ(session.storeVersion(), 2u);
   const std::vector<EdgeLabelEdit> bad = {{0, "zz"}, {7, "x"}};
-  EXPECT_THROW((void)store.applyEdits(g, bad), std::out_of_range);
-  EXPECT_EQ(store.view(0), "aa");
-  EXPECT_EQ(store.version(), 2u);
+  EXPECT_THROW((void)session.applyEdits(bad), std::out_of_range);
+  const std::vector<EdgeLabelEdit> negative = {{0, "zz"}, {-1, "x"}};
+  EXPECT_THROW((void)session.applyEdits(negative), std::out_of_range);
+  EXPECT_EQ(session.label(0), "a");
+  EXPECT_EQ(session.storeVersion(), 2u);
+  r = session.reverifyEdits({}, exec);
+  EXPECT_EQ(r.totalLabelBits, (1 + 3 + 1) * 8u);
 }
 
-TEST(LabelStore, RefreshedIndexRowsMatchFreshRebuild) {
+TEST(LabelIndex, RefreshedIndexRowsMatchFreshRebuild) {
   Rng rng(7);
   auto bp = randomBoundedPathwidth(24, 2, 0.4, rng);
   std::vector<std::string> labels;
   for (EdgeId e = 0; e < bp.graph.numEdges(); ++e) {
     labels.push_back("label-" + std::to_string(e));
   }
-  LabelStore store(labels);
   ParallelExecutor exec(2);
-  VertexLabelIndex idx = buildIncidentEdgeIndex(bp.graph, store, exec);
+  VertexLabelIndex idx = buildIncidentEdgeIndex(bp.graph, labels, exec);
 
-  const std::vector<EdgeLabelEdit> batch = {
-      {0, "zzz-resorts-last"}, {3, "AAA"}, {0, "000-resorts-first"}};
-  const std::vector<VertexId> dirty = store.applyEdits(bp.graph, batch);
-  refreshIncidentEdgeRows(idx, bp.graph, store, dirty);
+  // Rewrites that move a label's bytes (it outgrows its capacity) and
+  // re-sort its rows; the refresh re-points exactly the endpoints' rows.
+  labels[0] = "zzz-resorts-last" + std::string(256, 'z');
+  labels[3] = "AAA";
+  labels[0] = "000-resorts-first" + std::string(512, '0');
+  std::vector<VertexId> dirty;
+  for (const EdgeId e : {0, 3}) {
+    dirty.push_back(bp.graph.edge(e).u);
+    dirty.push_back(bp.graph.edge(e).v);
+  }
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  refreshIncidentEdgeRows(idx, bp.graph, labels, dirty);
 
-  const VertexLabelIndex fresh = buildIncidentEdgeIndex(bp.graph, store, exec);
+  const VertexLabelIndex fresh = buildIncidentEdgeIndex(bp.graph, labels, exec);
   ASSERT_EQ(idx.rowPtr, fresh.rowPtr);
   for (VertexId v = 0; v < bp.graph.numVertices(); ++v) {
     const auto a = idx.row(v);
     const auto b = fresh.row(v);
     ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i], b[i]);
+      EXPECT_EQ(a[i].data(), b[i].data());  // both alias the live strings
+    }
   }
 }
 
@@ -298,52 +317,14 @@ TEST(VerifySession, SharedExecutorAndDirectDirtyListMatchFreshSweeps) {
   EXPECT_EQ(session.storeVersion(), 1u);
 }
 
-// --- Epoch compaction ------------------------------------------------------
+// --- Sustained edits -------------------------------------------------------
 
-TEST(LabelStore, CompactEpochsFoldsGarbageAndKeepsViews) {
-  const Graph g = pathGraph(4);  // edges 0:{0,1} 1:{1,2} 2:{2,3}
-  const std::vector<std::string> labels = {"aa", "bb", "cc"};
-  LabelStore store(labels);
-
-  // Nothing owned yet: compaction is a no-op.
-  EXPECT_TRUE(store.compactEpochs().empty());
-  EXPECT_EQ(store.epochSlots(), 0u);
-
-  // Alternate sizes on two edges: every rewrite is size-changing, so each
-  // appends a fresh epoch slot and strands the previous one as garbage.
-  for (int round = 0; round < 10; ++round) {
-    const bool wide = (round % 2) == 0;
-    const std::vector<EdgeLabelEdit> batch = {
-        {0, wide ? "wide-0" : "n0"}, {2, wide ? "wide-2" : "n2"}};
-    (void)store.applyEdits(g, batch);
-  }
-  EXPECT_EQ(store.epochSlots(), 20u);
-  EXPECT_EQ(store.ownedLabels(), 2u);
-  const std::uint64_t version = store.version();
-  const std::string v0(store.view(0)), v1(store.view(1)), v2(store.view(2));
-
-  const std::vector<std::size_t> moved = store.compactEpochs();
-  EXPECT_EQ(moved, (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(store.epochSlots(), 2u);
-  EXPECT_EQ(store.ownedLabels(), 2u);
-  EXPECT_EQ(store.epochBytes(), v0.size() + v2.size());
-  // Content identical, version untouched (result caches stay valid).
-  EXPECT_EQ(store.view(0), v0);
-  EXPECT_EQ(store.view(1), v1);
-  EXPECT_EQ(store.view(2), v2);
-  EXPECT_EQ(store.version(), version);
-
-  // Already compact: no-op again (addresses must stay stable).
-  const char* addr = store.view(0).data();
-  EXPECT_TRUE(store.compactEpochs().empty());
-  EXPECT_EQ(store.view(0).data(), addr);
-}
-
-TEST(VerifySession, SustainedEditsStayBoundedAndExact) {
-  // A long alternating-size edit stream (the soak workload in miniature):
-  // without compaction the store would hold one epoch slot per past edit.
-  // The session must (a) keep epochSlots bounded by the live set, and
-  // (b) stay byte-identical to a fresh sweep after every batch.
+TEST(VerifySession, SustainedEditsStayExact) {
+  // A long alternating-size edit stream (the soak workload in miniature).
+  // Each grow step appends 4 KiB, so the grown label outruns its capacity
+  // and its bytes move; each restore shrinks it in place.  Either way the
+  // CSR rows of the edited edges' endpoints must be re-pointed before the
+  // next sweep, so every batch is compared with a fresh sweep.
   Rng rng(21);
   auto bp = randomBoundedPathwidth(32, 2, 0.4, rng);
   const Graph& g = bp.graph;
@@ -358,37 +339,22 @@ TEST(VerifySession, SustainedEditsStayBoundedAndExact) {
 
   std::vector<std::string> labels = proved.labels;
   const std::vector<EdgeId> edited = {1, 4, 7};
-  std::size_t maxSlots = 0;
+  const std::string garbage(4096, 'g');
   for (int round = 0; round < 120; ++round) {
     std::vector<EdgeLabelEdit> batch;
     for (const EdgeId e : edited) {
-      // Grow on even rounds, restore the honest bytes on odd rounds: every
-      // rewrite changes size, the worst case for epoch growth.
+      // Grow on even rounds, restore the honest bytes on odd rounds.
       labels[static_cast<std::size_t>(e)] =
           (round % 2 == 0)
-              ? proved.labels[static_cast<std::size_t>(e)] + "garbage"
+              ? proved.labels[static_cast<std::size_t>(e)] + garbage
               : proved.labels[static_cast<std::size_t>(e)];
       batch.push_back({e, labels[static_cast<std::size_t>(e)]});
     }
-    session.reverifyEdits(batch, 2);
-    maxSlots = std::max(maxSlots, session.epochSlots());
+    const SimulationResult got = session.reverifyEdits(batch, 2);
+    EXPECT_EQ(got.allAccept, round % 2 == 1) << "round " << round;
+    expectSameResult(got, simulateEdgeScheme(g, ids, labels, verifier));
   }
-  // Bound: at most 2 * live + slack (the compaction trigger), never the
-  // ~360 slots the stream generated.
-  EXPECT_LE(maxSlots, 2 * edited.size() + 64 + edited.size());
-
-  // Exactness after the storm, against a fresh sweep AND after restoring
-  // the honest labels entirely.
-  expectSameResult(session.reverifyEdits({}, 2),
-                   simulateEdgeScheme(g, ids, labels, verifier));
-  std::vector<EdgeLabelEdit> restore;
-  for (const EdgeId e : edited) {
-    restore.push_back({e, proved.labels[static_cast<std::size_t>(e)]});
-  }
-  const SimulationResult healed = session.reverifyEdits(restore, 2);
-  EXPECT_TRUE(healed.allAccept);
-  expectSameResult(healed,
-                   simulateEdgeScheme(g, ids, proved.labels, verifier));
+  EXPECT_EQ(session.storeVersion(), 120u);
 }
 
 }  // namespace

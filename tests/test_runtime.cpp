@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <future>
 #include <mutex>
+#include <span>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -28,7 +31,7 @@
 #include "runtime/arena.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/flat_map.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 
 namespace lanecert {
 namespace {
@@ -225,17 +228,44 @@ TEST(Arena, GrowsBeyondFirstBlock) {
   EXPECT_GE(arena.capacityBytes(), 8000u);
 }
 
-// --- LabelStore ---
+// --- Label index ---
 
-TEST(LabelStore, ViewsMatchLabelsAndBitsAreTallied) {
-  const std::vector<std::string> labels = {"abcd", "", "x", std::string("\0z", 2)};
-  const LabelStore store(labels);
-  ASSERT_EQ(store.size(), labels.size());
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    EXPECT_EQ(store.view(i), std::string_view(labels[i]));
+TEST(LabelIndex, ViewsMatchLabelsAndBitsAreTallied) {
+  // Path 0-1-2-3-4: edge e = {e, e+1}, so edge labels and vertex labels
+  // both index the same four-plus-one strings.
+  const Graph g = pathGraph(5);
+  const std::vector<std::string> labels = {"abcd", "", "x", std::string("\0z", 2),
+                                           "vertex-4"};
+  ParallelExecutor exec(2);
+  const std::span<const std::string> edgeLabels(labels.data(), 4);
+  const VertexLabelIndex incident = buildIncidentEdgeIndex(g, edgeLabels, exec);
+  const VertexLabelIndex neighbor = buildNeighborIndex(g, labels, exec);
+  for (VertexId v = 0; v < g.numVertices(); ++v) {
+    std::vector<std::string_view> wantIncident, wantNeighbor;
+    for (const Arc& a : g.arcs(v)) {
+      wantIncident.emplace_back(labels[static_cast<std::size_t>(a.edge)]);
+      wantNeighbor.emplace_back(labels[static_cast<std::size_t>(a.to)]);
+    }
+    std::sort(wantIncident.begin(), wantIncident.end());
+    std::sort(wantNeighbor.begin(), wantNeighbor.end());
+    const auto gotIncident = incident.row(v);
+    const auto gotNeighbor = neighbor.row(v);
+    ASSERT_EQ(gotIncident.size(), wantIncident.size());
+    ASSERT_EQ(gotNeighbor.size(), wantNeighbor.size());
+    for (std::size_t i = 0; i < wantIncident.size(); ++i) {
+      EXPECT_EQ(gotIncident[i], wantIncident[i]);
+      // Zero-copy: every view aliases the caller's string.
+      EXPECT_EQ(gotIncident[i].data(), wantIncident[i].data());
+    }
+    for (std::size_t i = 0; i < wantNeighbor.size(); ++i) {
+      EXPECT_EQ(gotNeighbor[i], wantNeighbor[i]);
+      EXPECT_EQ(gotNeighbor[i].data(), wantNeighbor[i].data());
+    }
   }
-  EXPECT_EQ(store.maxLabelBits(), 32u);
-  EXPECT_EQ(store.totalLabelBits(), (4u + 0u + 1u + 2u) * 8u);
+  const LabelBits bits = labelBits(edgeLabels);
+  EXPECT_EQ(bits.maxBits, 32u);
+  EXPECT_EQ(bits.totalBits, (4u + 0u + 1u + 2u) * 8u);
+  EXPECT_EQ(labelBits({}).maxBits, 0u);
 }
 
 TEST(FlatMapTest, InsertFindOverwrite) {

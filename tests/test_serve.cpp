@@ -24,7 +24,6 @@
 #include "interval/interval.hpp"
 #include "mso/properties.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/label_store.hpp"
 #include "serve/batch_scheduler.hpp"
 #include "serve/service.hpp"
 
@@ -182,12 +181,11 @@ TEST(Serve, PlanCacheAmortizesAcrossPropertiesAndIds) {
   const auto idsA = IdAssignment::random(32, 1);
   const auto idsB = IdAssignment::random(32, 2);
 
-  // One job slot: jobs run serially, so after the first builds the plan
-  // the other three MUST hit (two concurrent jobs may legitimately race
-  // the cold cache and both build — the count would then be timing-
-  // dependent, which the TSan job's slowdown makes a real flake).
-  LaneCertService service(
-      ServiceOptions{.numThreads = 2, .maxConcurrentJobs = 1});
+  // One worker, hence one job slot: jobs run serially, so after the first
+  // builds the plan the other three MUST hit (two concurrent jobs may
+  // legitimately race the cold cache and both build — the count would then
+  // be timing-dependent, which the TSan job's slowdown makes a real flake).
+  LaneCertService service(ServiceOptions{.numThreads = 1});
   // Same graph, no supplied representation: four jobs, one plan.
   auto f1 = service.submitProve(ProveJob{bp.graph, idsA, makeConnectivity(), {}});
   auto f2 = service.submitProve(ProveJob{bp.graph, idsA, makeForest(), {}});
@@ -217,8 +215,7 @@ TEST(Serve, PlanCacheMissStormCoalescesToOneHeadBuild) {
   Rng rng(41);
   auto bp = randomBoundedPathwidth(40, 2, 0.4, rng);
   const int kJobs = 8;
-  LaneCertService service(
-      ServiceOptions{.numThreads = 4, .maxConcurrentJobs = 4});
+  LaneCertService service(ServiceOptions{.numThreads = 4});
   std::vector<std::shared_future<CoreProveResult>> futures;
   std::vector<IdAssignment> ids;
   std::vector<PropertyPtr> props;
@@ -284,8 +281,7 @@ TEST(Serve, CancelPendingFailsUnstartedFutures) {
   Rng rng(13);
   auto big = randomBoundedPathwidth(600, 2, 0.4, rng);
   const auto bigIds = IdAssignment::random(600, 21);
-  LaneCertService service(
-      ServiceOptions{.numThreads = 1, .maxConcurrentJobs = 1});
+  LaneCertService service(ServiceOptions{.numThreads = 1});
   std::vector<std::shared_future<CoreProveResult>> futures;
   // The big job occupies the single slot; the small ones queue behind it.
   futures.push_back(
@@ -464,41 +460,6 @@ TEST(Serve, ReverifyBatchesRunInSubmissionOrder) {
   }
 }
 
-TEST(Serve, ReverifyDuplicateTailSubmissionsCoalesce) {
-  Rng rng(13);
-  auto bp = randomBoundedPathwidth(30, 2, 0.4, rng);
-  const auto ids = IdAssignment::random(30, 8);
-  const auto prop = makeConnectivity();
-  const auto proved = proveCore(bp.graph, ids, *prop, nullptr, 1);
-  ASSERT_TRUE(proved.propertyHolds);
-
-  // One slot, occupied by a prove job: both duplicate submissions land in
-  // the session queue before its driver can start, so the retry MUST
-  // coalesce instead of applying the edits twice.
-  auto big = randomBoundedPathwidth(400, 2, 0.4, rng);
-  LaneCertService service(
-      ServiceOptions{.numThreads = 1, .maxConcurrentJobs = 1});
-  auto blocker = service.submitProve(
-      ProveJob{big.graph, IdAssignment::random(400, 5), makeConnectivity(), {}});
-  const std::uint64_t sid =
-      service.openVerifySession(VerifyJob{
-          bp.graph, ids,
-          std::make_shared<const std::vector<std::string>>(proved.labels),
-          prop, {}});
-  std::string bytes = proved.labels[0];
-  bytes[0] = static_cast<char>(bytes[0] ^ 2);
-  const ReverifyJob batch{sid, {{0, bytes}}};
-  auto first = service.submitReverify(batch);
-  auto second = service.submitReverify(batch);
-  (void)blocker.get();
-  service.drain();
-  expectSameSim(first.get(), second.get());
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.reverifyBatchesCompleted, 1u);
-  EXPECT_GE(stats.resultCacheHits, 1u);
-  EXPECT_EQ(service.sessionStoreVersion(sid), 1u);  // edits applied ONCE
-}
-
 TEST(Serve, VerifyResultCacheCarriesPayloadVersion) {
   // Regression for the staleness hazard: verifyJobKey pins payload
   // IDENTITY, so an in-place rewrite of the buffer used to replay the old
@@ -540,7 +501,7 @@ TEST(BatchScheduler, AgingPreventsLargeJobStarvation) {
   // overtakes the large one); the aging credit must force the large job in
   // after at most kMaxBypass bypasses.
   WorkerPool pool(1);
-  BatchScheduler sched(pool, 1);
+  BatchScheduler sched(pool);
   std::mutex mu;
   std::condition_variable cv;
   bool gateOpen = false;

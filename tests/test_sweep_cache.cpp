@@ -20,7 +20,7 @@
 #include "mso/properties.hpp"
 #include "pls/scheme.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/label_store.hpp"
+#include "runtime/label_index.hpp"
 #include "runtime/topology.hpp"
 
 namespace lanecert {
@@ -131,9 +131,8 @@ TEST(SweepCache, ReadMemoNeverLeaksAcrossEngines) {
   const IdAssignment ids = IdAssignment::random(g.numVertices(), 7);
   const auto proved = proveCore(g, ids, *makeConnectivity(), nullptr);
 
-  const LabelStore store(proved.labels);
   ParallelExecutor exec(1);
-  const VertexLabelIndex index = buildIncidentEdgeIndex(g, store, exec);
+  const VertexLabelIndex index = buildIncidentEdgeIndex(g, proved.labels, exec);
 
   CoreVerifierEngine a(makeConnectivity());
   CoreVerifierEngine b(makeConnectivity());
