@@ -119,11 +119,11 @@ struct ChainEntry {
   /// the decoder BORROWS its buffer (the verifier's zero-copy label path);
   /// empty otherwise.  NOT serialized and NOT part of equality — it is a
   /// memoization key: byte-equal encodings decode to structurally equal
-  /// entries (decodeFrom is a pure function of the bytes), so the sweep
-  /// cache and the per-thread read memo compare this one contiguous lane
-  /// with the SIMD byte kernel instead of walking the record graph.  The
-  /// converse does not hold (padded varints), so byte INEQUALITY only ever
-  /// causes a conservative re-validation, never a verdict change.
+  /// entries (decodeFrom is a pure function of the bytes), so the
+  /// verifier's per-vertex list and sweep cache compare this one
+  /// contiguous span instead of walking the record graph.  The converse
+  /// does not hold (padded varints), so byte INEQUALITY only ever causes a
+  /// conservative re-validation, never a verdict change.
   std::string_view srcBytes;
 
   void encodeTo(Encoder& enc) const;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -19,65 +17,11 @@
 
 namespace lanecert {
 
-/// Per-thread read-side memo in front of the shared SweepEntryCache:
-/// validated entry ENCODINGS this thread has already seen, served without
-/// a stripe lock or a shared lookup.  It pays mainly on ONE thread, as a
-/// cheaper lookup rather than a cure for stripe contention: on a 4-core
-/// machine the n = 4096 sweep took 969 ms without it and 760 ms with it at
-/// t = 1, and 348 ms against 334 ms at t = 4.  Verdicts never depend on it
-/// (a hit only skips recomputation whose outcome is forced).
-/// Synced to the cache's (id, epoch) pair on every vertex check.  The id
-/// guard is a SOUNDNESS requirement, not a memory bound: the memo lives in
-/// thread_local scratch shared by every engine that checks on this thread
-/// (e.g. per-job verifier closures multiplexed over one worker pool), and
-/// entries validated under one engine's algebra/params say nothing about
-/// another's — serving them across engines could skip validateEntryPure
-/// for an entry the current engine would reject.  The epoch guard handles
-/// clear() within one cache; stale POSITIVE same-cache entries are sound
-/// (validation outcomes are forced) but dropping them keeps the memory
-/// bound tied to the live cache.
-struct SweepReadMemo {
-  FlatMap<std::int64_t, std::vector<std::string>> validated;
-  std::size_t total = 0;
-  std::uint64_t cacheId = 0;  ///< 0 = never synced; real ids start at 1
-  std::uint64_t epoch = 0;
-  /// Growth backstop, same spirit as the shared cache's: stop retaining,
-  /// never stop serving.
-  static constexpr std::size_t kMaxEntries = std::size_t{1} << 13;
-
-  [[nodiscard]] bool contains(std::int64_t nodeId,
-                              std::string_view entryBytes) const {
-    const auto* variants = validated.find(nodeId);
-    if (variants == nullptr) return false;
-    for (const std::string& v : *variants) {
-      if (v == entryBytes) return true;
-    }
-    return false;
-  }
-
-  void insert(std::int64_t nodeId, std::string_view entryBytes) {
-    if (total >= kMaxEntries) return;
-    std::vector<std::string>& variants =
-        *validated.tryEmplace(nodeId, {}).first;
-    for (const std::string& v : variants) {
-      if (v == entryBytes) return;
-    }
-    variants.emplace_back(entryBytes);
-    ++total;
-  }
-
-  void syncTo(std::uint64_t id, std::uint64_t cacheEpoch) {
-    if (cacheId == id && epoch == cacheEpoch) return;
-    validated.clear();
-    total = 0;
-    cacheId = id;
-    epoch = cacheEpoch;
-  }
-};
-
 /// Reusable per-thread buffers: a vertex check decodes every incident label
 /// once into `labels` and tracks all cross-certificate state in flat
 /// containers, so after the first few vertices a sweep stops allocating.
+/// Every field is reset per vertex: nothing carries from one check to the
+/// next, so one scratch may serve any number of engines.
 /// Records referenced by pointer (summaries, chain entries) live in
 /// `labels` / `virtualCerts`, which are fully built before validation
 /// starts and stable until the next run.
@@ -101,17 +45,12 @@ struct VerifierScratch {
   /// vertex.  Chains of different incident edges share their upper T/B
   /// entries, so most validateEntry calls are byte-identical repeats —
   /// replaying even the bookkeeping for them is pure waste.  Views alias
-  /// label bytes (or `encStable` below), stable for the vertex check.
+  /// label bytes, stable for the vertex check.
   FlatMap<std::int64_t, std::vector<std::string_view>> validatedEntries;
-  /// Stable backing for re-encoded entries that carry no srcBytes (never
-  /// hit on the borrowed-decoder label path; defensive).
-  std::deque<std::string> encStable;
   std::vector<int> laneScratch;
   /// Struct-of-arrays id lane for the baseP replay (path vertex ids),
   /// mirroring algebra.cpp's FoldScratch lanes on the verifier side.
   std::vector<std::uint64_t> foldIds;
-  /// Cross-vertex read memo (NOT reset per vertex — that is its point).
-  SweepReadMemo memo;
 
   void reset() {
     // Containers holding arena-backed records are cleared BEFORE the arena
@@ -126,7 +65,6 @@ struct VerifierScratch {
     allTreeEntries.clear();
     bridgeLower.clear();
     validatedEntries.clear();
-    encStable.clear();
     laneScratch.clear();
     foldIds.clear();
     arena.reset();
@@ -137,85 +75,39 @@ struct VerifierScratch {
 
 struct SweepEntryCache::Impl {
   static constexpr std::size_t kStripes = 16;
-  /// Growth bound: once a stripe holds kMaxEntries / kStripes encodings, a
-  /// capped insert first evicts the stripe's least-recently-PROBED quarter
-  /// (batch eviction amortizes the scan; per-entry LRU lists would double
-  /// the memory just to avoid it).  A single labeling at n = 4096 produces
-  /// ~18k distinct entries, so the cap leaves an order of magnitude of
-  /// headroom; long-lived verifiers cycling through many labelings (soak
-  /// runs, soundness benches, reused closures) keep their hot working set
-  /// instead of freezing whatever happened to arrive first.  Eviction is
+  /// Growth bound: an insert that finds its stripe holding kStripeCap
+  /// encodings clears the stripe first.  A single labeling at n = 4096
+  /// produces ~18k distinct entries, so the cap leaves headroom; long-lived
+  /// verifiers cycling through many labelings (soak runs, soundness
+  /// benches, reused closures) recycle instead of growing.  Clearing is
   /// memory management only, never invalidation: validation is a pure
-  /// function of the entry bytes, so a per-thread read memo that still
-  /// remembers an evicted encoding serves a CORRECT hit — which is why
-  /// eviction does not bump the epoch.
+  /// function of the entry bytes, so a dropped entry only costs one replay.
   static constexpr std::size_t kMaxEntries = 1 << 16;
   static constexpr std::size_t kStripeCap = kMaxEntries / kStripes;
-  std::atomic<std::size_t> total{0};
-  /// Bumped per clear(); per-thread read memos compare against it and drop
-  /// their (now unbounded-growth-risky) copies.
-  std::atomic<std::uint64_t> epoch{0};
-  /// Process-unique, never reused (a freed-and-reallocated cache at the
-  /// same address still gets a fresh id); read memos key on it so they can
-  /// never serve entries validated under a DIFFERENT engine's cache.
-  const std::uint64_t id = nextId();
-  static std::uint64_t nextId() {
-    static std::atomic<std::uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Counters are relaxed: they are diagnostics, never synchronization.
-  mutable std::atomic<std::uint64_t> hits{0};
-  mutable std::atomic<std::uint64_t> misses{0};
-  mutable std::atomic<std::uint64_t> contention{0};
-  mutable std::atomic<std::uint64_t> evictions{0};
-  /// One validated encoding + its recency stamp (stripe-local tick; bigger
-  /// is more recent, refreshed on every successful probe).
-  struct Variant {
-    std::string bytes;
-    std::uint64_t stamp = 0;
-  };
   struct Stripe {
     mutable std::mutex mu;
     /// nodeId -> validated entry ENCODINGS (usually exactly one).  Flat
     /// byte strings on the global heap: a probe decoded into a per-thread
     /// arena never leaks an arena pointer into the cache, and a lookup is
     /// one contiguous compare instead of a record-graph walk.
-    FlatMap<std::int64_t, std::vector<Variant>> validated;
-    /// Recency clock; advanced under mu on inserts and probe hits.
-    std::uint64_t tick = 0;
-    /// Live encodings in this stripe (FlatMap keys whose vectors were
-    /// emptied by eviction linger as tombstones, bounded by the distinct
-    /// nodeIds of the decomposition, so they are not counted here).
-    std::size_t count = 0;
+    FlatMap<std::int64_t, std::vector<std::string>> validated;
+    // Guarded by mu, like the entries they count.
+    std::size_t count = 0;  ///< encodings held
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t contention = 0;
+    std::uint64_t evictions = 0;
+
+    /// Requires mu held.
+    [[nodiscard]] bool holds(std::int64_t nodeId,
+                             std::string_view entryBytes) const {
+      const auto* variants = validated.find(nodeId);
+      return variants != nullptr &&
+             std::find(variants->begin(), variants->end(), entryBytes) !=
+                 variants->end();
+    }
   };
   std::array<Stripe, kStripes> stripes;
-
-  /// Drops the least-recently-probed quarter of `s` (at least one entry).
-  /// Requires s.mu held.  FlatMap has no erase, so emptied variant vectors
-  /// stay as (string-free) tombstones.
-  void evictOldestLocked(Stripe& s) {
-    std::vector<std::uint64_t> stamps;
-    stamps.reserve(s.count);
-    for (const auto& [nodeId, variants] : s.validated) {
-      for (const Variant& v : variants) stamps.push_back(v.stamp);
-    }
-    if (stamps.empty()) return;
-    const std::size_t drop = std::max<std::size_t>(1, stamps.size() / 4);
-    std::nth_element(stamps.begin(), stamps.begin() + (drop - 1),
-                     stamps.end());
-    const std::uint64_t cutoff = stamps[drop - 1];  // evict stamp <= cutoff
-    std::size_t dropped = 0;
-    for (auto& [nodeId, variants] : s.validated) {
-      auto keep = std::remove_if(
-          variants.begin(), variants.end(),
-          [&](const Variant& v) { return v.stamp <= cutoff; });
-      dropped += static_cast<std::size_t>(variants.end() - keep);
-      variants.erase(keep, variants.end());
-    }
-    s.count -= dropped;
-    total.fetch_sub(dropped, std::memory_order_relaxed);
-    evictions.fetch_add(dropped, std::memory_order_relaxed);
-  }
 
   static std::size_t stripeOf(std::int64_t nodeId) {
     auto x = static_cast<std::uint64_t>(nodeId);
@@ -232,57 +124,33 @@ SweepEntryCache::~SweepEntryCache() = default;
 bool SweepEntryCache::containsValidated(std::int64_t nodeId,
                                         std::string_view entryBytes) const {
   Impl::Stripe& s = impl_->stripes[Impl::stripeOf(nodeId)];
-  // try_lock first purely to MEASURE contention (the satellite counters
-  // exist to justify the read memo with data); the probe then waits like
+  // try_lock first purely to MEASURE contention; the probe then waits like
   // any lock_guard would.
   std::unique_lock<std::mutex> lock(s.mu, std::try_to_lock);
   if (!lock.owns_lock()) {
-    impl_->contention.fetch_add(1, std::memory_order_relaxed);
     lock.lock();
+    ++s.contention;
   }
-  auto* variants = s.validated.find(nodeId);
-  if (variants != nullptr) {
-    for (Impl::Variant& v : *variants) {
-      if (v.bytes == entryBytes) {
-        v.stamp = ++s.tick;  // refresh recency: hot entries outlive eviction
-        impl_->hits.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-  }
-  impl_->misses.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  const bool hit = s.holds(nodeId, entryBytes);
+  ++(hit ? s.hits : s.misses);
+  return hit;
 }
 
 void SweepEntryCache::markValidated(std::int64_t nodeId,
                                     std::string_view entryBytes) {
   Impl::Stripe& s = impl_->stripes[Impl::stripeOf(nodeId)];
   std::lock_guard<std::mutex> lock(s.mu);
-  std::vector<Impl::Variant>& variants =
-      *s.validated.tryEmplace(nodeId, {}).first;
-  for (Impl::Variant& v : variants) {
-    if (v.bytes == entryBytes) {
-      v.stamp = ++s.tick;
-      return;  // raced: already recorded
-    }
+  if (s.holds(nodeId, entryBytes)) return;  // raced: already recorded
+  if (s.count >= Impl::kStripeCap) {
+    s.evictions += s.count;
+    s.validated.clear();
+    s.count = 0;
   }
-  if (s.count >= Impl::kStripeCap) impl_->evictOldestLocked(s);
-  // Flat copy onto the global heap.  NOTE: evictOldestLocked may have
-  // shuffled `variants` but never reallocates the FlatMap, so the
-  // reference is still valid.
-  variants.push_back(Impl::Variant{std::string(entryBytes), ++s.tick});
+  s.validated.tryEmplace(nodeId, {}).first->emplace_back(entryBytes);
   ++s.count;
-  impl_->total.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::size_t SweepEntryCache::size() const {
-  std::size_t total = 0;
-  for (const Impl::Stripe& s : impl_->stripes) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    total += s.count;
-  }
-  return total;
-}
+std::size_t SweepEntryCache::size() const { return stats().entries; }
 
 void SweepEntryCache::clear() {
   for (Impl::Stripe& s : impl_->stripes) {
@@ -290,24 +158,19 @@ void SweepEntryCache::clear() {
     s.validated.clear();
     s.count = 0;
   }
-  impl_->total.store(0, std::memory_order_relaxed);
-  impl_->epoch.fetch_add(1, std::memory_order_relaxed);
 }
-
-std::uint64_t SweepEntryCache::epoch() const {
-  return impl_->epoch.load(std::memory_order_relaxed);
-}
-
-std::uint64_t SweepEntryCache::id() const { return impl_->id; }
 
 SweepCacheStats SweepEntryCache::stats() const {
-  SweepCacheStats s;
-  s.hits = impl_->hits.load(std::memory_order_relaxed);
-  s.misses = impl_->misses.load(std::memory_order_relaxed);
-  s.stripeContention = impl_->contention.load(std::memory_order_relaxed);
-  s.evictions = impl_->evictions.load(std::memory_order_relaxed);
-  s.entries = size();
-  return s;
+  SweepCacheStats out;
+  for (const Impl::Stripe& s : impl_->stripes) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    out.hits += s.hits;
+    out.misses += s.misses;
+    out.stripeContention += s.contention;
+    out.evictions += s.evictions;
+    out.entries += s.count;
+  }
+  return out;
 }
 
 namespace {
@@ -341,28 +204,16 @@ class Checker {
  public:
   Checker(const LaneAlgebra& alg, const CoreVerifierParams& params,
           const EdgeView& view, VerifierScratch& scratch,
-          SweepEntryCache* sweepCache)
+          SweepEntryCache& sweepCache)
       : alg_(alg),
         params_(params),
         view_(view),
         s_(scratch),
         sweepCache_(sweepCache) {
     s_.reset();
-    // The read memo is NOT reset per vertex — it persists for the thread —
-    // but it must drop its copies when the cache identity changed (the
-    // scratch is shared by every engine on this thread, and memo contents
-    // are only meaningful against the engine that validated them) or when
-    // the same cache was cleared (memory bound).
-    if (sweepCache_ != nullptr) {
-      s_.memo.syncTo(sweepCache_->id(), sweepCache_->epoch());
-    }
   }
 
   bool run();
-
-  /// Read-memo hits this vertex check; the engine flushes them into its
-  /// (atomic) counter once per check rather than once per hit.
-  [[nodiscard]] std::uint64_t memoHits() const { return memoHits_; }
 
  private:
   void validateSummaryCommon(const SummaryRec& s) const;
@@ -373,32 +224,18 @@ class Checker {
   void recordNodeSummary(const SummaryRec& s);
   void recordTmSummary(const SummaryRec& s);
   void topologyChecks();
-  std::string_view entryBytes(const ChainEntry& e);
 
   const LaneAlgebra& alg_;
   const CoreVerifierParams& params_;
   const EdgeView& view_;
   VerifierScratch& s_;
-  SweepEntryCache* sweepCache_;
-  std::uint64_t memoHits_ = 0;
+  SweepEntryCache& sweepCache_;
 
   bool bridgeConflict_ = false;   ///< two chain parts entered one B-node
   std::int64_t rootTNode_ = -1;
   std::int64_t rootChildNode_ = -1;
   const ChainEntry* rootEntry_ = nullptr;
 };
-
-/// The memoization key of an entry: its source encoding.  Every entry on
-/// the verifier path decodes from borrowed label bytes (labels live in the
-/// store, virtual-edge payloads alias labels), so srcBytes is populated;
-/// the re-encode fallback only defends against future owning-decoder
-/// callers and parks its bytes in deque-stable scratch storage.
-std::string_view Checker::entryBytes(const ChainEntry& e) {
-  if (!e.srcBytes.empty()) return e.srcBytes;
-  Encoder enc;
-  e.encodeTo(enc);
-  return s_.encStable.emplace_back(enc.take());
-}
 
 void Checker::validateSummaryCommon(const SummaryRec& s) const {
   require(!s.lanes.empty());
@@ -533,7 +370,11 @@ void Checker::validateEntryPure(const ChainEntry& e) const {
 }
 
 void Checker::validateEntry(const ChainEntry& e) {
-  const std::string_view bytes = entryBytes(e);
+  // The memoization key of an entry is its source encoding.  Both decode
+  // sites borrow the label bytes (EdgeLabelView::decode, and the payload
+  // decoder in reconstructVirtualEdges), so decodeFrom always records it.
+  require(!e.srcBytes.empty());
+  const std::string_view bytes = e.srcBytes;
   // Per-vertex memo: a byte-identical entry that already passed at this
   // vertex needs no recomputation — only the bookkeeping side effect (tree
   // entries feed the gluing checks) is replayed.  Byte identity is finer
@@ -571,26 +412,12 @@ void Checker::validateEntry(const ChainEntry& e) {
   // The pure half runs once per distinct entry per SWEEP, not per vertex:
   // upper chain entries are shared by most edges, and the sweep cache
   // remembers the (deterministic) outcome across vertices and threads.
-  // Probe order: per-thread read memo (no lock), then the striped shared
-  // cache, then the full algebra replay.  A cache hit of either kind only
-  // skips recomputation whose outcome is forced, so verdicts never depend
-  // on memo/cache state.
-  bool alreadyValidated = false;
-  if (sweepCache_ != nullptr) {
-    if (s_.memo.contains(e.self.nodeId, bytes)) {
-      ++memoHits_;
-      alreadyValidated = true;
-    } else if (sweepCache_->containsValidated(e.self.nodeId, bytes)) {
-      alreadyValidated = true;
-      s_.memo.insert(e.self.nodeId, bytes);
-    }
-  }
-  if (!alreadyValidated) {
+  // Probe order: the per-vertex list above, then the striped cache, then
+  // the full algebra replay.  A hit only skips recomputation whose outcome
+  // is forced, so verdicts never depend on cache state.
+  if (!sweepCache_.containsValidated(e.self.nodeId, bytes)) {
     validateEntryPure(e);
-    if (sweepCache_ != nullptr) {
-      sweepCache_->markValidated(e.self.nodeId, bytes);
-      s_.memo.insert(e.self.nodeId, bytes);
-    }
+    sweepCache_.markValidated(e.self.nodeId, bytes);
   }
   if (e.kind == ChainEntry::Kind::kTree) s_.allTreeEntries.push_back(&e);
   seen.push_back(bytes);
@@ -627,10 +454,8 @@ void Checker::validateCert(const EdgeCert& cert, bool isVirtual) {
       // byte-distinct encodings fall back to the structural walk, which
       // must stay — padded varints may encode the SAME root entry, and
       // rejecting an honest re-encoding would change verdicts.
-      const bool fastEq = !cert.rootEntry.srcBytes.empty() &&
-                          !rootEntry_->srcBytes.empty() &&
-                          cert.rootEntry.srcBytes == rootEntry_->srcBytes;
-      require(fastEq || cert.rootEntry == *rootEntry_);
+      require(cert.rootEntry.srcBytes == rootEntry_->srcBytes ||
+              cert.rootEntry == *rootEntry_);
     }
   }
 
@@ -917,27 +742,14 @@ CoreVerifierEngine::CoreVerifierEngine(PropertyPtr prop,
 CoreVerifierEngine::~CoreVerifierEngine() = default;
 
 bool CoreVerifierEngine::check(const EdgeView& view, ThreadState& state) const {
-  if (!state.impl_) state.impl_ = std::make_unique<VerifierScratch>();
-  bool ok = false;
-  std::uint64_t hits = 0;
-  // Construction stays inside a try as well: scratch reset can in principle
-  // throw (allocation), and check() is documented never to throw — reject
-  // instead.  Rejecting runs still flush their memo hits.
+  // check() never throws: a failed check, a malformed label and an
+  // allocation failure in scratch setup all reject.
   try {
-    Checker checker(*algebra_, params_, view, *state.impl_, &cache_);
-    try {
-      ok = checker.run();
-    } catch (const std::exception&) {
-      ok = false;
-    }
-    hits = checker.memoHits();
+    if (!state.impl_) state.impl_ = std::make_unique<VerifierScratch>();
+    return Checker(*algebra_, params_, view, *state.impl_, cache_).run();
   } catch (const std::exception&) {
-    ok = false;
+    return false;
   }
-  if (hits != 0) {
-    memoHits_.fetch_add(hits, std::memory_order_relaxed);
-  }
-  return ok;
 }
 
 std::size_t CoreVerifierEngine::sweepCacheSize() const { return cache_.size(); }
@@ -945,9 +757,7 @@ std::size_t CoreVerifierEngine::sweepCacheSize() const { return cache_.size(); }
 void CoreVerifierEngine::clearSweepCache() { cache_.clear(); }
 
 SweepCacheStats CoreVerifierEngine::cacheStats() const {
-  SweepCacheStats s = cache_.stats();
-  s.memoHits = memoHits_.load(std::memory_order_relaxed);
-  return s;
+  return cache_.stats();
 }
 
 CoreVerifierParams theorem1Params(int k) {
@@ -963,10 +773,9 @@ EdgeVerifier makeCoreVerifier(PropertyPtr prop, CoreVerifierParams params) {
   return [engine = std::move(engine)](const EdgeView& view) -> bool {
     // One scratch per OS thread, shared by every verifier closure on that
     // thread (each check resets it), so concurrent sweeps stay allocation-
-    // free in steady state without per-closure state.  The cross-vertex
-    // read memo inside is keyed to the engine's cache identity, so a thread
-    // interleaving checks for several engines (per-job closures over one
-    // pool) never serves one engine's memoized validations to another.
+    // free in steady state without per-closure state.  Validations are
+    // shared only through the engine's own cache, so closures multiplexed
+    // over one pool never see each other's.
     static thread_local CoreVerifierEngine::ThreadState state;
     return engine->check(view, state);
   };

@@ -47,7 +47,6 @@
 // (core/verify_session.hpp) owns an engine plus per-shard states to make
 // sweeps resumable.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -74,17 +73,20 @@ struct CoreVerifierParams {
   int maxThrough = 0;
 };
 
-/// Monotonic counters of the sweep cache + read memo (diagnostics).
+/// Monotonic counters of the sweep cache (diagnostics).
 struct SweepCacheStats {
-  std::uint64_t hits = 0;       ///< shared-cache probes that hit
-  std::uint64_t misses = 0;     ///< shared-cache probes that missed
-  std::uint64_t memoHits = 0;   ///< read-memo hits (no stripe lock taken)
+  std::uint64_t hits = 0;       ///< probes that found the encoding
+  std::uint64_t misses = 0;     ///< probes that did not
+  /// Always 0: no memo sits in front of the cache.  Kept only because
+  /// lcbench reads it; the benchmark-contract change (ROADMAP.md item 4)
+  /// removes it together with those reads.
+  std::uint64_t memoHits = 0;
   /// Stripe-lock acquisitions that found the lock held (try_lock failed
   /// and the probe had to wait).
   std::uint64_t stripeContention = 0;
-  /// Encodings dropped by capacity eviction (least-recently-probed batch
-  /// eviction; a nonzero value means the cache hit its growth bound and is
-  /// recycling, not an error).
+  /// Encodings dropped because an insert found its stripe full (a nonzero
+  /// value means the cache hit its growth bound and is recycling, not an
+  /// error).  clear() does not count here.
   std::uint64_t evictions = 0;
   std::size_t entries = 0;      ///< distinct validated encodings held
 };
@@ -96,15 +98,15 @@ struct SweepCacheStats {
 /// can never conflate two entries that differ in any decoded field.
 /// Non-canonical encodings of the same entry (padded varints) key
 /// separately, which only ever costs a conservative re-validation.
-/// Storing one contiguous byte string per entry also makes lookups a
-/// single SIMD byte compare instead of a record-graph walk, and inserts a
-/// flat copy instead of a deep pmr clone.  Thread-safe: lookups and
-/// inserts take a stripe lock hashed on the entry's node id; stored
-/// strings live on the global heap, so they outlive the per-thread decode
-/// arenas the probes point into.  Entries stay valid for the lifetime of
-/// the algebra/params they were validated under (the owning engine never
-/// changes either), which is why a session can keep its cache warm across
-/// re-verification sweeps.
+/// Storing one contiguous byte string per entry also makes a lookup one
+/// byte compare instead of a record-graph walk, and an insert a flat copy
+/// instead of a deep pmr clone.  Thread-safe: lookups and inserts take a
+/// stripe lock hashed on the entry's node id; stored strings live on the
+/// global heap, so they outlive the per-thread decode arenas the probes
+/// point into.  Entries stay valid for the lifetime of the algebra/params
+/// they were validated under (the owning engine never changes either),
+/// which is why a session can keep its cache warm across re-verification
+/// sweeps.
 class SweepEntryCache {
  public:
   SweepEntryCache();
@@ -118,26 +120,17 @@ class SweepEntryCache {
   /// contention when the stripe lock was held by another thread.
   [[nodiscard]] bool containsValidated(std::int64_t nodeId,
                                        std::string_view entryBytes) const;
-  /// Records an encoding as validated (flat copy; refreshes recency if
-  /// present).  A full cache evicts its least-recently-probed entries in
-  /// batches instead of growing without bound — pure memory management,
-  /// never invalidation, so verdicts are unaffected.
+  /// Records an encoding as validated (flat copy; a no-op if present).  An
+  /// insert that finds its stripe full clears the stripe first instead of
+  /// growing without bound — pure memory management, never invalidation,
+  /// so verdicts are unaffected.
   void markValidated(std::int64_t nodeId, std::string_view entryBytes);
   /// Number of distinct validated encodings held.
   [[nodiscard]] std::size_t size() const;
-  /// Drops every entry (bounds memory; never required for correctness) and
-  /// bumps the epoch so per-thread read memos self-invalidate.
+  /// Drops every entry (bounds memory; never required for correctness).
   void clear();
-  /// Bumped once per clear(); read memos compare against it.
-  [[nodiscard]] std::uint64_t epoch() const;
-  /// Process-unique identity of this cache instance (never reused, unlike
-  /// the `this` pointer).  Thread-local read memos key on (id, epoch): the
-  /// memo scratch is shared by every engine that checks on a thread, and
-  /// distinct engines validate under distinct algebras/params, so a memo
-  /// filled against one cache must never answer probes for another.
-  [[nodiscard]] std::uint64_t id() const;
-  /// Hit/miss/contention counters + entry count (memoHits stays 0 here;
-  /// the engine folds in the per-thread memo counter).
+  /// Counters + entry count, summed over the stripes, each read under its
+  /// lock.
   [[nodiscard]] SweepCacheStats stats() const;
 
  private:
@@ -159,7 +152,8 @@ class CoreVerifierEngine {
 
   /// Per-thread reusable verifier state: the decode arena plus the flat
   /// cross-certificate containers.  Allocated lazily on first use; reset
-  /// per vertex, so steady-state checks stop allocating.
+  /// per vertex, so steady-state checks stop allocating.  Nothing in it
+  /// outlives one check, so engines may share a state.
   class ThreadState {
    public:
     ThreadState();
@@ -181,7 +175,6 @@ class CoreVerifierEngine {
   [[nodiscard]] std::size_t sweepCacheSize() const;
   /// Drops the sweep cache (memory bound only; verdicts never depend on it).
   void clearSweepCache();
-  /// Sweep cache counters with the per-thread read-memo hits folded in.
   [[nodiscard]] SweepCacheStats cacheStats() const;
 
  private:
@@ -189,9 +182,6 @@ class CoreVerifierEngine {
   CoreVerifierParams params_;
   std::shared_ptr<const LaneAlgebra> algebra_;
   mutable SweepEntryCache cache_;
-  /// Read-memo hits across every ThreadState that checked through this
-  /// engine (flushed once per vertex check, not per hit).
-  mutable std::atomic<std::uint64_t> memoHits_{0};
 };
 
 /// Builds the local verifier for `prop`: a thin closure over a shared

@@ -102,8 +102,8 @@ class VerifySession {
   [[nodiscard]] std::size_t sweepCacheSize() const {
     return engine_.sweepCacheSize();
   }
-  /// Sweep-cache hit/miss/contention counters + read-memo hits
-  /// (monotonic; the serving layer surfaces them per session).
+  /// Sweep-cache counters (monotonic; the serving layer surfaces them per
+  /// session).
   [[nodiscard]] SweepCacheStats cacheStats() const {
     return engine_.cacheStats();
   }

@@ -63,23 +63,8 @@ std::shared_ptr<const ProvePlan> LaneCertService::loadSnapshot(
 std::size_t LaneCertService::cancelPending() { return sched_.cancelPending(); }
 
 ServiceStats LaneCertService::stats() const {
-  ServiceStats s;
-  {
-    std::lock_guard<std::mutex> lock(statsMu_);
-    s = stats_;
-  }
-  // Sweep-cache counters live in the session engines (relaxed atomics);
-  // sum the open sessions at snapshot time.  Reading a session's counters
-  // needs no entry->mu — they are engine atomics, safe during a sweep.
-  std::lock_guard<std::mutex> lock(sessionsMu_);
-  for (const auto& [id, entry] : sessions_) {
-    const SweepCacheStats cs = entry->session->cacheStats();
-    s.sweepCacheHits += cs.hits;
-    s.sweepCacheMisses += cs.misses;
-    s.sweepCacheMemoHits += cs.memoHits;
-    s.sweepCacheStripeContention += cs.stripeContention;
-  }
-  return s;
+  std::lock_guard<std::mutex> lock(statsMu_);
+  return stats_;
 }
 
 void LaneCertService::bump(std::uint64_t ServiceStats::* counter) {
@@ -402,8 +387,10 @@ void LaneCertService::runSessionDriver(
     if (error) {
       batch.promise->set_exception(error);
     } else {
-      batch.promise->set_value(std::move(result));
+      // Counted before resolving, like prove and verify jobs, so a client
+      // that just observed its future sees its own batch in stats().
       bump(&ServiceStats::reverifyBatchesCompleted);
+      batch.promise->set_value(std::move(result));
     }
   }
 }

@@ -126,16 +126,6 @@ struct ServiceStats {
   std::uint64_t deadlineExpiredJobs = 0;
   std::uint64_t sessionsOpened = 0;
   std::uint64_t reverifyBatchesCompleted = 0;
-  /// Sweep-entry-cache counters summed over the OPEN verification sessions
-  /// at snapshot time (each session's engine keeps its own monotonic
-  /// counters; closing a session drops its contribution).
-  std::uint64_t sweepCacheHits = 0;
-  std::uint64_t sweepCacheMisses = 0;
-  /// Per-thread read-memo hits: validations skipped without touching the
-  /// striped locks at all.
-  std::uint64_t sweepCacheMemoHits = 0;
-  /// Stripe-lock probes that found the lock held.
-  std::uint64_t sweepCacheStripeContention = 0;
   /// Plan snapshot store (zero unless ServiceOptions::snapshotDir is set):
   /// plan-cache misses answered from a validated on-disk snapshot...
   std::uint64_t snapshotHits = 0;
@@ -178,8 +168,8 @@ class LaneCertService {
   /// Current label version of an open session (0 = never edited).
   [[nodiscard]] std::uint64_t sessionStoreVersion(std::uint64_t session) const;
   /// Sweep-cache counters of ONE open session (throws std::invalid_argument
-  /// for an unknown/closed handle).  Snapshot of relaxed atomics: exact
-  /// once the session is quiescent, approximate while a sweep runs.
+  /// for an unknown/closed handle).  Each stripe is read under its lock:
+  /// exact once the session is quiescent, a mid-sweep mix while one runs.
   [[nodiscard]] SweepCacheStats sessionCacheStats(std::uint64_t session) const;
   /// Closes a session: the handle becomes invalid for NEW submissions;
   /// batches already queued still complete.  Idempotent.

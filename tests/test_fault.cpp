@@ -296,7 +296,6 @@ TEST(ServeFault, FailedReverifyBatchLeavesSessionServing) {
   // The failed batch poisoned nothing: the session still serves.
   auto fut = service.submitReverify(ReverifyJob{sid, {}});
   EXPECT_TRUE(fut.get().allAccept);
-  service.drain();  // the counter is bumped after the future resolves
   EXPECT_EQ(service.stats().reverifyBatchesCompleted, 1u);
 }
 
