@@ -166,9 +166,11 @@ fi
 # structure-aware fuzz campaign (fixed seed, bounded budget).  Any
 # violation — a crash, a hang past the budget, an accepted semantically
 # corrupting mutation on a false instance — fails with its own exit class;
-# fuzz_cert leaves crash-*.bin/.txt artifacts plus a --replay line for O(1)
-# reproduction.  The ctest smoke already runs a smaller slice on every
-# build; this leg is the longer standing campaign.
+# fuzz_cert leaves fuzz_cert-crash-seed7-iter<I>.{bin,txt} artifacts, each
+# .txt ending in its replay line, for O(1) reproduction (alternative proofs
+# land beside them as fuzz_cert-finding-* files).  The ctest smoke already
+# runs a smaller slice on every build; this leg is the longer standing
+# campaign.
 if [ "${CI_MODE}" -eq 1 ]; then
   if [ -x build/fuzz_cert ]; then
     mkdir -p build/fuzz-artifacts

@@ -235,17 +235,4 @@ NodeData LaneAlgebra::fromSummary(const SummaryRec& rec) const {
   return d;
 }
 
-SummaryRec LaneAlgebra::toSummary(const NodeData& d, std::int64_t nodeId,
-                                  std::uint8_t type) const {
-  SummaryRec rec;
-  rec.nodeId = nodeId;
-  rec.type = type;
-  rec.lanes.assign(d.lanes.begin(), d.lanes.end());
-  rec.inTerm = d.inTerm;
-  rec.outTerm = d.outTerm;
-  rec.slotOrder.assign(d.slots.begin(), d.slots.end());
-  rec.stateBytes.assign(d.state.encoding().begin(), d.state.encoding().end());
-  return rec;
-}
-
 }  // namespace lanecert

@@ -88,9 +88,6 @@ class LaneAlgebra {
   /// Validates and converts a certificate record (decodes the state bytes,
   /// checks canonicality, slot count, and terminal/slot agreement).
   [[nodiscard]] NodeData fromSummary(const SummaryRec& rec) const;
-  /// Packs a NodeData into a record.
-  [[nodiscard]] SummaryRec toSummary(const NodeData& d, std::int64_t nodeId,
-                                     std::uint8_t type) const;
 
   [[nodiscard]] const Property& property() const { return prop_; }
 

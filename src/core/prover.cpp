@@ -29,8 +29,8 @@ struct ProverScratch {
 };
 
 /// Writes a SummaryRec encoding straight from a NodeData — byte-identical
-/// to LaneAlgebra::toSummary(...).encodeTo(enc) without materializing the
-/// intermediate record (no vector/string copies on the hot path).
+/// to filling a SummaryRec from `d` and calling encodeTo(enc), without
+/// materializing the record (no vector/string copies on the hot path).
 void encodeSummary(Encoder& enc, const NodeData& d, std::int64_t nodeId,
                    std::uint8_t type) {
   enc.i64(nodeId);

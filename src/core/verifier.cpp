@@ -75,15 +75,13 @@ struct VerifierScratch {
 
 struct SweepEntryCache::Impl {
   static constexpr std::size_t kStripes = 16;
-  /// Growth bound: an insert that finds its stripe holding kStripeCap
-  /// encodings clears the stripe first.  A single labeling at n = 4096
-  /// produces ~18k distinct entries, so the cap leaves headroom; long-lived
-  /// verifiers cycling through many labelings (soak runs, soundness
-  /// benches, reused closures) recycle instead of growing.  Clearing is
-  /// memory management only, never invalidation: validation is a pure
-  /// function of the entry bytes, so a dropped entry only costs one replay.
-  static constexpr std::size_t kMaxEntries = 1 << 16;
-  static constexpr std::size_t kStripeCap = kMaxEntries / kStripes;
+  explicit Impl(std::size_t maxEntries)
+      : stripeCap(std::max<std::size_t>(1, maxEntries / kStripes)) {}
+  /// Growth bound: an insert that finds its stripe holding stripeCap
+  /// encodings clears the stripe first.  Clearing is memory management
+  /// only, never invalidation: validation is a pure function of the entry
+  /// bytes, so a dropped entry only costs one replay.
+  const std::size_t stripeCap;
   struct Stripe {
     mutable std::mutex mu;
     /// nodeId -> validated entry ENCODINGS (usually exactly one).  Flat
@@ -118,7 +116,8 @@ struct SweepEntryCache::Impl {
   }
 };
 
-SweepEntryCache::SweepEntryCache() : impl_(std::make_unique<Impl>()) {}
+SweepEntryCache::SweepEntryCache(std::size_t maxEntries)
+    : impl_(std::make_unique<Impl>(maxEntries)) {}
 SweepEntryCache::~SweepEntryCache() = default;
 
 bool SweepEntryCache::containsValidated(std::int64_t nodeId,
@@ -141,7 +140,7 @@ void SweepEntryCache::markValidated(std::int64_t nodeId,
   Impl::Stripe& s = impl_->stripes[Impl::stripeOf(nodeId)];
   std::lock_guard<std::mutex> lock(s.mu);
   if (s.holds(nodeId, entryBytes)) return;  // raced: already recorded
-  if (s.count >= Impl::kStripeCap) {
+  if (s.count >= impl_->stripeCap) {
     s.evictions += s.count;
     s.validated.clear();
     s.count = 0;
@@ -151,14 +150,6 @@ void SweepEntryCache::markValidated(std::int64_t nodeId,
 }
 
 std::size_t SweepEntryCache::size() const { return stats().entries; }
-
-void SweepEntryCache::clear() {
-  for (Impl::Stripe& s : impl_->stripes) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.validated.clear();
-    s.count = 0;
-  }
-}
 
 SweepCacheStats SweepEntryCache::stats() const {
   SweepCacheStats out;
@@ -731,13 +722,15 @@ CoreVerifierEngine::ThreadState& CoreVerifierEngine::ThreadState::operator=(
     ThreadState&&) noexcept = default;
 
 CoreVerifierEngine::CoreVerifierEngine(PropertyPtr prop,
-                                       CoreVerifierParams params)
+                                       CoreVerifierParams params,
+                                       std::size_t maxCacheEntries)
     : prop_(std::move(prop)),
       params_(params),
       // The algebra is built ONCE per engine (it only references the
       // property), not per vertex; it is stateless beyond the property, so
       // one engine can check many vertices concurrently.
-      algebra_(std::make_shared<const LaneAlgebra>(*prop_)) {}
+      algebra_(std::make_shared<const LaneAlgebra>(*prop_)),
+      cache_(maxCacheEntries) {}
 
 CoreVerifierEngine::~CoreVerifierEngine() = default;
 
@@ -753,8 +746,6 @@ bool CoreVerifierEngine::check(const EdgeView& view, ThreadState& state) const {
 }
 
 std::size_t CoreVerifierEngine::sweepCacheSize() const { return cache_.size(); }
-
-void CoreVerifierEngine::clearSweepCache() { cache_.clear(); }
 
 SweepCacheStats CoreVerifierEngine::cacheStats() const {
   return cache_.stats();

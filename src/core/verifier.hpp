@@ -86,7 +86,7 @@ struct SweepCacheStats {
   std::uint64_t stripeContention = 0;
   /// Encodings dropped because an insert found its stripe full (a nonzero
   /// value means the cache hit its growth bound and is recycling, not an
-  /// error).  clear() does not count here.
+  /// error).
   std::uint64_t evictions = 0;
   std::size_t entries = 0;      ///< distinct validated encodings held
 };
@@ -109,7 +109,15 @@ struct SweepCacheStats {
 /// sweeps.
 class SweepEntryCache {
  public:
-  SweepEntryCache();
+  /// The cap of a `makeCoreVerifier` closure's cache.  A single labeling at
+  /// n = 4096 produces ~18k distinct entries, so it leaves headroom there;
+  /// long-lived closures cycling through many labelings (soak runs,
+  /// soundness benches) recycle instead of growing.
+  static constexpr std::size_t kDefaultMaxEntries = std::size_t{1} << 16;
+
+  /// Bounds the cache at `maxEntries` encodings: each of the 16 stripes
+  /// holds at most its share, maxEntries / 16 (at least one).
+  explicit SweepEntryCache(std::size_t maxEntries = kDefaultMaxEntries);
   ~SweepEntryCache();
 
   SweepEntryCache(const SweepEntryCache&) = delete;
@@ -127,8 +135,6 @@ class SweepEntryCache {
   void markValidated(std::int64_t nodeId, std::string_view entryBytes);
   /// Number of distinct validated encodings held.
   [[nodiscard]] std::size_t size() const;
-  /// Drops every entry (bounds memory; never required for correctness).
-  void clear();
   /// Counters + entry count, summed over the stripes, each read under its
   /// lock.
   [[nodiscard]] SweepCacheStats stats() const;
@@ -144,7 +150,10 @@ class SweepEntryCache {
 /// each passes its own ThreadState.
 class CoreVerifierEngine {
  public:
-  explicit CoreVerifierEngine(PropertyPtr prop, CoreVerifierParams params = {});
+  /// `maxCacheEntries` bounds the sweep cache (see SweepEntryCache).
+  explicit CoreVerifierEngine(
+      PropertyPtr prop, CoreVerifierParams params = {},
+      std::size_t maxCacheEntries = SweepEntryCache::kDefaultMaxEntries);
   ~CoreVerifierEngine();
 
   CoreVerifierEngine(const CoreVerifierEngine&) = delete;
@@ -173,8 +182,6 @@ class CoreVerifierEngine {
   [[nodiscard]] const CoreVerifierParams& params() const { return params_; }
   /// Distinct entries validated so far (diagnostics / tests).
   [[nodiscard]] std::size_t sweepCacheSize() const;
-  /// Drops the sweep cache (memory bound only; verdicts never depend on it).
-  void clearSweepCache();
   [[nodiscard]] SweepCacheStats cacheStats() const;
 
  private:

@@ -15,7 +15,14 @@ VerifySession::VerifySession(Graph g, IdAssignment ids,
       ids_(std::move(ids)),
       labels_(std::move(labels)),
       bits_(labelBits(labels_)),
-      engine_(std::move(prop), params) {
+      // Edits retire entry variants (superseded label bytes) that the cache
+      // would otherwise retain for the session's whole lifetime, so its cap
+      // scales with the graph: several times the distinct entries of one
+      // labeling, so steady-state sweeps stay warm.
+      engine_(std::move(prop), params,
+              8 * (static_cast<std::size_t>(g_.numVertices()) +
+                   static_cast<std::size_t>(g_.numEdges())) +
+                  1024) {
   if (labels_.size() != static_cast<std::size_t>(g_.numEdges())) {
     throw std::invalid_argument("VerifySession: one label per edge required");
   }
@@ -96,15 +103,6 @@ std::vector<VertexId> VerifySession::applyEdits(
   // reads them.  Before the first sweep there is no index yet; it is built
   // from the current labels then.
   if (indexBuilt_) refreshIncidentEdgeRows(index_, g_, labels_, dirty);
-  // Bound the sweep cache: edits retire entry variants (superseded label
-  // bytes) that identity-keyed memoization would otherwise retain for the
-  // session's whole lifetime.  The cap is generous — several times the
-  // distinct entries of one labeling — so steady-state sweeps stay warm;
-  // clearing is purely a perf event, never a correctness one.
-  const auto cap = 8 * (static_cast<std::size_t>(g_.numVertices()) +
-                        static_cast<std::size_t>(g_.numEdges())) +
-                   1024;
-  if (engine_.sweepCacheSize() > cap) engine_.clearSweepCache();
   return dirty;
 }
 

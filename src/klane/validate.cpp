@@ -7,8 +7,6 @@
 #include <set>
 #include <sstream>
 
-#include "runtime/executor.hpp"
-
 namespace lanecert {
 
 namespace {
@@ -42,8 +40,7 @@ bool subgraphConnected(const std::vector<VertexId>& verts,
   return seen.size() == verts.size();
 }
 
-/// All per-node checks for node `id`; reads only immutable state, so the
-/// sweep can run nodes concurrently.
+/// All per-node checks for node `id`.
 template <typename Fail>
 void validateNode(const Hierarchy& h, int id, const Fail& fail) {
   const HierNode& n = h.node(id);
@@ -246,7 +243,7 @@ std::vector<TerminalMap> subtreeOutTerminals(const Hierarchy& h, int tNodeId) {
 }
 
 std::vector<std::string> validateHierarchy(const HierarchyResult& result,
-                                           int numLanes, int numThreads) {
+                                           int numLanes) {
   const Hierarchy& h = result.hierarchy;
   const Graph& g = result.graph;
   std::vector<std::string> errs;
@@ -288,26 +285,8 @@ std::vector<std::string> validateHierarchy(const HierarchyResult& result,
     }
   }
 
-  // Per-node checks are independent; shard them over the executor and merge
-  // violations in node order (identical output for every thread count).
-  ParallelExecutor exec(numThreads);
-  std::vector<std::vector<std::string>> shardErrs(
-      static_cast<std::size_t>(exec.numThreads()));
-  exec.forShards(
-      static_cast<std::size_t>(h.size()),
-      [&](std::size_t shard, std::size_t begin, std::size_t end) {
-        std::vector<std::string>& out = shardErrs[shard];
-        const auto failHere = [&out](const std::string& msg) {
-          out.push_back(msg);
-        };
-        for (std::size_t id = begin; id < end; ++id) {
-          validateNode(h, static_cast<int>(id), failHere);
-        }
-      });
-  for (std::vector<std::string>& shard : shardErrs) {
-    errs.insert(errs.end(), std::make_move_iterator(shard.begin()),
-                std::make_move_iterator(shard.end()));
-  }
+  // Per-node checks, in node order.
+  for (int id = 0; id < h.size(); ++id) validateNode(h, id, fail);
   return errs;
 }
 

@@ -13,12 +13,10 @@
 namespace lanecert {
 
 /// Full structural audit of a decomposition against its graph.
-/// `numLanes` is the w used to check depth() <= 2w.  Per-node checks are
-/// independent, so the sweep shards nodes over `numThreads` (<= 0 = all
-/// cores); the violation list is merged in node order and is identical for
-/// every thread count.
+/// `numLanes` is the w used to check depth() <= 2w.  Per-node violations
+/// are listed in node order.
 [[nodiscard]] std::vector<std::string> validateHierarchy(
-    const HierarchyResult& result, int numLanes, int numThreads = 1);
+    const HierarchyResult& result, int numLanes);
 
 /// For a T-node, the out-terminals of Tree-merge(T_{child}) for every child
 /// position: lane -> out-terminal of the lowest lane-owning node in the

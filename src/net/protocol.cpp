@@ -71,24 +71,6 @@ PropertyPtr propertyByName(const std::string& name) {
   return ::lanecert::propertyByName(name);
 }
 
-const char* opName(Op op) {
-  switch (op) {
-    case Op::kPing:
-      return "ping";
-    case Op::kProve:
-      return "prove";
-    case Op::kVerify:
-      return "verify";
-    case Op::kOpenSession:
-      return "open-session";
-    case Op::kReverify:
-      return "reverify";
-    case Op::kCloseSession:
-      return "close-session";
-  }
-  return "?";
-}
-
 const char* statusName(Status status) {
   switch (status) {
     case Status::kOk:

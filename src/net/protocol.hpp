@@ -77,7 +77,6 @@ enum class Status : std::uint8_t {
   kShuttingDown = 7,  ///< body: empty; server is draining, do not retry here
 };
 
-[[nodiscard]] const char* opName(Op op);
 [[nodiscard]] const char* statusName(Status status);
 
 /// Resolves a wire property name ("connectivity", "forest", "3col",

@@ -40,14 +40,6 @@ void WorkerPool::post(std::function<void()> task) {
   wake_.notify_one();
 }
 
-void WorkerPool::postUrgent(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_front(std::move(task));
-  }
-  wake_.notify_one();
-}
-
 void WorkerPool::postUrgentCopies(std::size_t count,
                                   const std::function<void()>& task) {
   if (count == 0) return;

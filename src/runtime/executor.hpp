@@ -45,9 +45,10 @@ namespace lanecert {
 
 /// Long-lived pool of parked worker threads over a two-priority FIFO queue.
 ///
-/// `post` enqueues at the back; `postUrgent` enqueues at the FRONT, which
-/// forShards uses for shard helpers so in-flight fork-join waves complete
-/// before queued coarse-grained tasks (e.g. new serving jobs) are admitted.
+/// `post` enqueues at the back; `postUrgentCopies` enqueues at the FRONT,
+/// which forShards uses for shard helpers so in-flight fork-join waves
+/// complete before queued coarse-grained tasks (e.g. new serving jobs) are
+/// admitted.
 /// Tasks must not block waiting for OTHER queued tasks except through the
 /// forShards caller-participation protocol above.
 ///
@@ -70,7 +71,6 @@ class WorkerPool {
   }
 
   void post(std::function<void()> task);
-  void postUrgent(std::function<void()> task);
   /// Posts `count` copies of `task` at the front under ONE lock acquisition
   /// and ONE wake broadcast (the fork-join fast path).
   void postUrgentCopies(std::size_t count, const std::function<void()>& task);

@@ -33,7 +33,7 @@ void BatchScheduler::dispatchLocked() {
     auto node = pending_.extract(chosen);
     ++inFlight_;
     // Normal (back-of-queue) priority: shard tasks of already-running jobs
-    // jump ahead via postUrgent, new drivers wait their turn.
+    // jump ahead via postUrgentCopies, new jobs wait their turn.
     pool_.post([this, run = std::move(node.mapped().run)] {
       run();
       onJobFinished();

@@ -8,7 +8,9 @@
 //    into a full stripe clears the stripe instead of freezing or growing
 //    without bound);
 //  * the stats stay coherent (entries == size(), evictions accounts for
-//    exactly the encodings dropped, clear() is not an eviction).
+//    exactly the encodings dropped);
+//  * the cap is a constructor argument, and no stripe ever holds more than
+//    its share of it.
 
 #include <gtest/gtest.h>
 
@@ -52,7 +54,7 @@ TEST(SweepCacheEviction, CappedCacheStillServesHits) {
   EXPECT_FALSE(cache.containsValidated(node, enc(0)));
 }
 
-TEST(SweepCacheEviction, StatsStayCoherentAcrossEvictionAndClear) {
+TEST(SweepCacheEviction, StatsStayCoherentAcrossEviction) {
   SweepEntryCache cache;
   // Spread across nodeIds (and hence stripes) like a real sweep.
   for (std::uint64_t i = 0; i < 70000; ++i) {
@@ -67,12 +69,34 @@ TEST(SweepCacheEviction, StatsStayCoherentAcrossEvictionAndClear) {
   ASSERT_TRUE(cache.containsValidated(1, last));
   cache.markValidated(1, last);
   EXPECT_EQ(cache.stats().entries, s1.entries);
+  EXPECT_EQ(cache.stats().evictions, s1.evictions);
+}
 
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().evictions, s1.evictions);  // clear() is no eviction
-  cache.markValidated(1, enc(1));
-  EXPECT_TRUE(cache.containsValidated(1, enc(1)));
+TEST(SweepCacheEviction, SmallCapHoldsOneShareAStripe) {
+  // A cap of 64 gives each of the 16 stripes a share of 4.
+  constexpr std::size_t kCap = 64;
+  constexpr std::size_t kShare = kCap / 16;
+  SweepEntryCache cache(kCap);
+
+  // One nodeId pins every insert to one stripe: after i inserts it holds
+  // exactly ((i - 1) mod share) + 1 of them, never more than its share.
+  for (std::uint64_t i = 1; i <= 50; ++i) {
+    cache.markValidated(3, enc(i));
+    const SweepCacheStats s = cache.stats();
+    ASSERT_EQ(s.entries, (i - 1) % kShare + 1) << "insert " << i;
+    ASSERT_EQ(s.entries + s.evictions, i) << "insert " << i;
+  }
+  EXPECT_TRUE(cache.containsValidated(3, enc(50)));
+
+  // Spread over many nodeIds, the whole cache stays within the cap.
+  SweepEntryCache spread(kCap);
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    spread.markValidated(static_cast<std::int64_t>(i % 97), enc(i));
+  }
+  const SweepCacheStats s = spread.stats();
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_LE(s.entries, kCap);
+  EXPECT_EQ(s.entries + s.evictions, 5000u);
 }
 
 }  // namespace

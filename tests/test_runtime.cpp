@@ -20,12 +20,7 @@
 #include "core/scheme.hpp"
 #include "graph/generators.hpp"
 #include "interval/interval.hpp"
-#include "klane/hierarchy.hpp"
-#include "klane/validate.hpp"
-#include "lane/embedding.hpp"
-#include "lanewidth/lanewidth.hpp"
 #include "mso/properties.hpp"
-#include "pathwidth/pathwidth.hpp"
 #include "pls/classic.hpp"
 #include "pls/scheme.hpp"
 #include "runtime/arena.hpp"
@@ -101,7 +96,7 @@ TEST(WorkerPool, RunsPostedTasksAndUrgentTasksJumpTheQueue) {
   });
   pool.post([&] { order.push_back(1); });
   pool.post([&] { order.push_back(2); });
-  pool.postUrgent([&] { order.push_back(0); });
+  pool.postUrgentCopies(1, [&] { order.push_back(0); });
   pool.post([&] {
     std::lock_guard<std::mutex> lock(mu);
     done = true;
@@ -420,21 +415,6 @@ TEST(ParallelSweep, ProveAndVerifyAcceptsWithManyThreads) {
   ASSERT_TRUE(par.propertyHolds);
   expectSameResult(seq.sim, par.sim);
   EXPECT_TRUE(par.sim.allAccept);
-}
-
-TEST(ParallelSweep, ValidateHierarchyIdenticalAcrossThreadCounts) {
-  Rng rng(11);
-  const Graph g = randomConnected(40, 0.1, rng);
-  const auto rep = bestIntervalRepresentation(g);
-  const LanePlan plan = buildLanePlan(g, rep);
-  const ConstructionSequence seq = buildConstruction(g, rep, plan.lanes);
-  const HierarchyResult r = buildHierarchy(seq);
-  const int numLanes = seq.numLanes();
-  const auto sequential = validateHierarchy(r, numLanes, 1);
-  for (int threads : {2, 8}) {
-    EXPECT_EQ(validateHierarchy(r, numLanes, threads), sequential);
-  }
-  EXPECT_TRUE(sequential.empty());
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 //  1. Whole verification sweeps are byte-identical across thread counts
 //     {1, 2, 4, 8}, on honest AND corrupted labelings over a spread of
 //     graph families.
-//  2. The sweep cache counts exactly the work it serves and saves, and two
-//     engines sharing one scratch never share validations.
+//  2. The sweep cache counts exactly the work it serves and saves, two
+//     engines sharing one scratch never share validations, and a cache
+//     capped far below a graph's entries still keeps every verdict.
 //  3. NUMA node detection never throws and reports at least one node.
 
 #include <gtest/gtest.h>
@@ -165,6 +166,49 @@ TEST(SweepCache, EnginesSharingScratchNeverShareValidations) {
   const SweepCacheStats aWarm = a.cacheStats();
   EXPECT_EQ(aWarm.misses, aCold.misses);
   EXPECT_EQ(aWarm.hits - aCold.hits, aCold.hits + aCold.misses);
+}
+
+TEST(SweepCache, SmallCapEngineMatchesFreshSweep) {
+  // A cap far below the graph's distinct entries makes stripes clear
+  // mid-sweep, on four threads at once.  Clearing only costs replays, so
+  // every sweep must reproduce a fresh simulateEdgeScheme verdict for
+  // verdict.
+  Rng rng(41);
+  auto bp = randomBoundedPathwidth(48, 2, 0.5, rng);
+  const Graph& g = bp.graph;
+  const IdAssignment ids = IdAssignment::random(g.numVertices(), 99);
+  const auto proved = proveCore(g, ids, *makeConnectivity(), nullptr);
+  auto corrupted = proved.labels;
+  corrupted[3][corrupted[3].size() / 2] ^= 0x20;
+
+  constexpr int kThreads = 4;
+  ParallelExecutor exec(kThreads);
+  CoreVerifierEngine engine(makeConnectivity(), {}, 64);
+  std::vector<CoreVerifierEngine::ThreadState> states(kThreads);
+  const std::vector<std::string>* labelings[] = {&proved.labels, &corrupted,
+                                                 &proved.labels};
+  for (const auto* labels : labelings) {
+    const VertexLabelIndex index = buildIncidentEdgeIndex(g, *labels, exec);
+    std::vector<VertexId> rejecting(static_cast<std::size_t>(g.numVertices()),
+                                    kNoVertex);
+    exec.forShards(rejecting.size(), [&](std::size_t shard, std::size_t begin,
+                                         std::size_t end) {
+      for (std::size_t vi = begin; vi < end; ++vi) {
+        const auto v = static_cast<VertexId>(vi);
+        EdgeView view;
+        view.selfId = ids.id(v);
+        view.incidentLabels = index.row(v);
+        if (!engine.check(view, states[shard])) rejecting[vi] = v;
+      }
+    });
+    std::erase(rejecting, kNoVertex);
+    const auto fresh = simulateEdgeScheme(g, ids, *labels,
+                                          makeCoreVerifier(makeConnectivity()));
+    EXPECT_EQ(rejecting, fresh.rejecting);
+  }
+  const SweepCacheStats s = engine.cacheStats();
+  EXPECT_GT(s.evictions, 0u) << "cap never engaged";
+  EXPECT_LE(s.entries, 64u);
 }
 
 // --- 3. Topology detection ------------------------------------------------

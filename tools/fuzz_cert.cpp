@@ -13,28 +13,14 @@
 //     (same phenomenon bench_soundness.cpp documents for E6 — e.g. renaming
 //     the unused-side part summary of a bridge entry to a fresh node id
 //     yields a non-canonical but internally consistent certificate).  These
-//     are counted, dumped as `finding-*` artifacts for audit, and fatal
-//     only under --strict.
+//     are counted, written as `fuzz_cert-finding-*` artifacts for audit,
+//     and fatal only under --strict.
 //
-// Reproducibility contract: every iteration derives its own Rng from
-// (seed, iteration), so any mutant regenerates in O(1) from those two
-// numbers.  Before each sweep the harness overwrites --progress-file with
-// "seed iter", so a sanitizer abort leaves a pointer to the fatal input;
-// `fuzz_cert --seed S --replay I` re-runs exactly that iteration verbosely.
-// Contract violations (not crashes) dump the mutant bytes + metadata under
-// --artifact-dir and make the run exit nonzero.
-//
-// Usage:
-//   fuzz_cert [--seed N] [--iters N] [--budget-seconds S]
-//             [--artifact-dir DIR] [--progress-file PATH]
-//             [--replay ITER] [--quiet]
+// Usage: fuzz_cert [campaign flags] [--strict]; fuzz_campaign.hpp owns the
+// flags, seeds, budget, progress file, artifacts and replay.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <exception>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -45,11 +31,12 @@
 #include "mso/properties.hpp"
 #include "pls/scheme.hpp"
 
+#include "fuzz_campaign.hpp"
+
 namespace {
 
 using namespace lanecert;
-
-constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
+using fuzz::pick;
 
 struct CorpusEntry {
   const char* name;
@@ -100,159 +87,90 @@ std::vector<CorpusEntry> buildCorpus() {
   return corpus;
 }
 
-std::size_t pick(Rng& rng, std::size_t n) {
-  return static_cast<std::size_t>(rng.uniformInt(0, static_cast<int>(n) - 1));
+const char* className(FuzzVerdictClass c) {
+  static constexpr const char* kNames[] = {"malformed", "semanticChange",
+                                           "noop"};
+  return kNames[static_cast<int>(c)];
 }
 
-struct IterationOutcome {
-  std::size_t corpusIdx = 0;
-  std::size_t labelIdx = 0;
-  FuzzKind kind = FuzzKind::kBitFlip;
-  FuzzVerdictClass cls = FuzzVerdictClass::kNoop;
-  std::string mutant;
-  bool accepted = false;
-  bool violation = false;
-  /// True instance + semantic change + accepted: an alternative valid proof
-  /// of a true property (audited, fatal only under --strict).
-  bool alternativeProof = false;
-  const char* expectation = "";
+struct Counters {
+  unsigned long long byClass[3] = {};
+  unsigned long long byKind[static_cast<int>(FuzzKind::kCount)] = {};
+  unsigned long long semantic = 0;
+  unsigned long long rejectedSemantic = 0;
+  unsigned long long alternativeProofs = 0;
 };
 
 /// Runs iteration `iter` of campaign `seed` against `corpus`.  Deterministic:
-/// same (seed, iter, corpus) -> same mutant, same verdict.
-IterationOutcome runIteration(std::uint64_t seed, std::uint64_t iter,
-                              std::vector<CorpusEntry>& corpus) {
-  IterationOutcome out;
-  FuzzMutator mut(seed ^ (kGolden * (iter + 1)));
+/// same (seed, iter, corpus) -> same mutant, same verdict.  An accepted
+/// semantic change of a true instance is an alternative valid proof: a
+/// finding, and a violation only under `strict`.
+fuzz::Outcome runIteration(std::uint64_t seed, std::uint64_t iter,
+                           const std::vector<CorpusEntry>& corpus, bool strict,
+                           Counters& count) {
+  FuzzMutator mut(fuzz::iterationSeed(seed, iter));
   Rng& rng = mut.rng();
 
-  out.corpusIdx = pick(rng, corpus.size());
-  CorpusEntry& entry = corpus[out.corpusIdx];
-  out.labelIdx = pick(rng, entry.labels.size());
+  const std::size_t corpusIdx = pick(rng, corpus.size());
+  const CorpusEntry& entry = corpus[corpusIdx];
+  const std::size_t labelIdx = pick(rng, entry.labels.size());
   const CorpusEntry& donorEntry =
-      corpus[(out.corpusIdx + 1 + pick(rng, corpus.size() - 1)) %
-             corpus.size()];
+      corpus[(corpusIdx + 1 + pick(rng, corpus.size() - 1)) % corpus.size()];
   const std::string& donor =
       donorEntry.labels[pick(rng, donorEntry.labels.size())];
 
-  out.mutant =
-      mut.mutateRandom(entry.labels[out.labelIdx], donor, &out.kind);
-  out.cls = classifyMutation(entry.labels[out.labelIdx], out.mutant);
+  const std::string& original = entry.labels[labelIdx];
+  FuzzKind kind = FuzzKind::kBitFlip;
+  fuzz::Outcome out;
+  out.bytes = mut.mutateRandom(original, donor, &kind);
+  const FuzzVerdictClass cls = classifyMutation(original, out.bytes);
 
   std::vector<std::string> labels = entry.labels;
-  labels[out.labelIdx] = out.mutant;
-  out.accepted =
+  labels[labelIdx] = out.bytes;
+  const bool accepted =
       simulateEdgeScheme(entry.g, entry.ids, labels, entry.verifier)
           .allAccept;
 
+  ++count.byClass[static_cast<int>(cls)];
+  ++count.byKind[static_cast<int>(kind)];
+  if (cls == FuzzVerdictClass::kSemanticChange) {
+    ++count.semantic;
+    if (!accepted) ++count.rejectedSemantic;
+  }
+  bool violation = accepted;
+  const char* expectation = "reject (semantic corruption)";
   if (!entry.trueInstance) {
-    out.expectation = "reject (false instance, any mutation)";
-    out.violation = out.accepted;
-  } else if (out.cls == FuzzVerdictClass::kNoop) {
-    out.expectation = "accept (no-op re-encoding of honest label)";
-    out.violation = !out.accepted;
-  } else if (out.cls == FuzzVerdictClass::kMalformed) {
-    out.expectation = "reject (malformed label)";
-    out.violation = out.accepted;
-  } else {
-    out.expectation = "reject (semantic corruption)";
-    out.alternativeProof = out.accepted;
+    expectation = "reject (false instance, any mutation)";
+  } else if (cls == FuzzVerdictClass::kNoop) {
+    expectation = "accept (no-op re-encoding of honest label)";
+    violation = !accepted;
+  } else if (cls == FuzzVerdictClass::kMalformed) {
+    expectation = "reject (malformed label)";
+  } else if (accepted) {
+    ++count.alternativeProofs;
+    violation = strict;
+    out.verdict = fuzz::Verdict::kFinding;
   }
+  if (violation) out.verdict = fuzz::Verdict::kViolation;
+  out.fields = {{"corpus", entry.name},
+                {"labelIdx", std::to_string(labelIdx)},
+                {"kind", fuzzKindName(kind)},
+                {"class", className(cls)},
+                {"expected", expectation},
+                {"got", accepted ? "accept" : "reject"},
+                {"original", std::to_string(original.size()) + " bytes"}};
   return out;
-}
-
-const char* className(FuzzVerdictClass c) {
-  switch (c) {
-    case FuzzVerdictClass::kMalformed:
-      return "malformed";
-    case FuzzVerdictClass::kSemanticChange:
-      return "semanticChange";
-    case FuzzVerdictClass::kNoop:
-      return "noop";
-  }
-  return "?";
-}
-
-void dumpArtifact(const std::string& dir, const char* prefix,
-                  std::uint64_t seed, std::uint64_t iter,
-                  const CorpusEntry& entry, const IterationOutcome& out) {
-  const std::string stem =
-      dir + "/" + prefix + "-seed" + std::to_string(seed) + "-iter" +
-      std::to_string(iter);
-  {
-    std::ofstream bin(stem + ".bin", std::ios::binary);
-    bin.write(out.mutant.data(),
-              static_cast<std::streamsize>(out.mutant.size()));
-  }
-  std::ofstream meta(stem + ".txt");
-  meta << "seed " << seed << "\niter " << iter << "\ncorpus " << entry.name
-       << "\nlabelIdx " << out.labelIdx << "\nkind "
-       << fuzzKindName(out.kind) << "\nclass " << className(out.cls)
-       << "\nexpected " << out.expectation << "\ngot "
-       << (out.accepted ? "accept" : "reject")
-       << "\nreplay fuzz_cert --seed " << seed << " --replay " << iter
-       << "\n";
-  std::fprintf(stderr, "%s at iter %llu: wrote %s.{bin,txt}\n",
-               out.violation ? "VIOLATION" : "finding",
-               static_cast<unsigned long long>(iter), stem.c_str());
-}
-
-void hexDump(const std::string& bytes) {
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    std::printf("%02x%s", static_cast<unsigned char>(bytes[i]),
-                (i + 1) % 16 == 0 ? "\n" : " ");
-  }
-  if (bytes.size() % 16 != 0) std::printf("\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t seed = 42;
-  std::uint64_t iters = 100000;
-  double budgetSeconds = 0;  // 0 = no wall-clock budget
-  std::string artifactDir = ".";
-  std::string progressFile;
-  long long replayIter = -1;
-  bool quiet = false;
+  fuzz::Campaign campaign("fuzz_cert", 100000);
   bool strict = false;  // alternative proofs on true instances become fatal
+  campaign.flag("--strict", &strict);
+  if (!campaign.parse(argc, argv)) return 2;
 
-  for (int i = 1; i < argc; ++i) {
-    auto needsValue = [&](const char* flag) {
-      if (std::strcmp(argv[i], flag) != 0) return false;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return true;
-    };
-    if (needsValue("--seed")) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (needsValue("--iters")) {
-      iters = std::strtoull(argv[++i], nullptr, 10);
-    } else if (needsValue("--budget-seconds")) {
-      budgetSeconds = std::strtod(argv[++i], nullptr);
-    } else if (needsValue("--artifact-dir")) {
-      artifactDir = argv[++i];
-    } else if (needsValue("--progress-file")) {
-      progressFile = argv[++i];
-    } else if (needsValue("--replay")) {
-      replayIter = std::strtoll(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else if (std::strcmp(argv[i], "--strict") == 0) {
-      strict = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: fuzz_cert [--seed N] [--iters N] "
-                   "[--budget-seconds S] [--artifact-dir DIR] "
-                   "[--progress-file PATH] [--replay ITER] [--strict] "
-                   "[--quiet]\n");
-      return 2;
-    }
-  }
-
-  std::vector<CorpusEntry> corpus = buildCorpus();
+  const std::vector<CorpusEntry> corpus = buildCorpus();
 
   // Sanity: baseline verdicts must match the corpus annotations, otherwise
   // every downstream assertion is meaningless.
@@ -266,90 +184,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (replayIter >= 0) {
-    const auto out = runIteration(
-        seed, static_cast<std::uint64_t>(replayIter), corpus);
-    std::printf("replay seed=%llu iter=%lld\n",
-                static_cast<unsigned long long>(seed), replayIter);
-    std::printf("corpus   %s\nlabelIdx %zu\nkind     %s\nclass    %s\n",
-                corpus[out.corpusIdx].name, out.labelIdx,
-                fuzzKindName(out.kind), className(out.cls));
-    std::printf("expected %s\ngot      %s\n", out.expectation,
-                out.accepted ? "accept" : "reject");
-    const std::string& orig = corpus[out.corpusIdx].labels[out.labelIdx];
-    std::printf("original %zu bytes:\n", orig.size());
-    hexDump(orig);
-    std::printf("mutant   %zu bytes:\n", out.mutant.size());
-    hexDump(out.mutant);
-    if (out.alternativeProof) {
-      std::printf("note: accepted alternative proof of a true instance\n");
-    }
-    return (out.violation || (strict && out.alternativeProof)) ? 1 : 0;
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t done = 0;
-  std::uint64_t violations = 0;
-  std::uint64_t alternativeProofs = 0;
-  std::uint64_t byClass[3] = {0, 0, 0};
-  std::uint64_t byKind[static_cast<int>(FuzzKind::kCount)] = {};
-  std::uint64_t rejectedSemantic = 0;
-  std::uint64_t totalSemantic = 0;
-
-  for (std::uint64_t iter = 0; iter < iters; ++iter) {
-    if (budgetSeconds > 0) {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      if (elapsed.count() >= budgetSeconds) break;
-    }
-    if (!progressFile.empty()) {
-      // Overwritten BEFORE the sweep: if the verifier crashes under ASan,
-      // this file points at the fatal (seed, iter) pair.
-      std::ofstream p(progressFile, std::ios::trunc);
-      p << seed << " " << iter << "\n";
-    }
-    const auto out = runIteration(seed, iter, corpus);
-    ++done;
-    ++byClass[static_cast<int>(out.cls)];
-    ++byKind[static_cast<int>(out.kind)];
-    if (out.cls == FuzzVerdictClass::kSemanticChange) {
-      ++totalSemantic;
-      if (!out.accepted) ++rejectedSemantic;
-    }
-    if (out.violation) {
-      ++violations;
-      dumpArtifact(artifactDir, "crash", seed, iter, corpus[out.corpusIdx],
-                   out);
-    } else if (out.alternativeProof) {
-      ++alternativeProofs;
-      if (strict) ++violations;
-      dumpArtifact(artifactDir, strict ? "crash" : "finding", seed, iter,
-                   corpus[out.corpusIdx], out);
-    }
-  }
-
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  if (!quiet) {
-    std::printf("fuzz_cert: %llu mutants in %.1fs (seed %llu)\n",
-                static_cast<unsigned long long>(done), elapsed.count(),
-                static_cast<unsigned long long>(seed));
-    std::printf("  classes: malformed %llu, semanticChange %llu, noop %llu\n",
-                static_cast<unsigned long long>(byClass[0]),
-                static_cast<unsigned long long>(byClass[1]),
-                static_cast<unsigned long long>(byClass[2]));
-    std::printf("  semantic rejection: %llu/%llu (%llu alternative proofs)\n",
-                static_cast<unsigned long long>(rejectedSemantic),
-                static_cast<unsigned long long>(totalSemantic),
-                static_cast<unsigned long long>(alternativeProofs));
-    for (int k = 0; k < static_cast<int>(FuzzKind::kCount); ++k) {
-      std::printf("  kind %-10s %llu\n",
-                  fuzzKindName(static_cast<FuzzKind>(k)),
-                  static_cast<unsigned long long>(byKind[k]));
-    }
-    std::printf("  violations: %llu\n",
-                static_cast<unsigned long long>(violations));
-  }
-  if (!progressFile.empty()) std::remove(progressFile.c_str());
-  return violations == 0 ? 0 : 1;
+  Counters count;
+  return campaign.run(
+      [&](std::uint64_t iter) {
+        return runIteration(campaign.seed(), iter, corpus, strict, count);
+      },
+      [&] {
+        std::printf(
+            "  classes: malformed %llu, semanticChange %llu, noop %llu\n",
+            count.byClass[0], count.byClass[1], count.byClass[2]);
+        std::printf(
+            "  semantic rejection: %llu/%llu (%llu alternative proofs)\n",
+            count.rejectedSemantic, count.semantic, count.alternativeProofs);
+        for (int k = 0; k < static_cast<int>(FuzzKind::kCount); ++k) {
+          std::printf("  kind %-10s %llu\n",
+                      fuzzKindName(static_cast<FuzzKind>(k)), count.byKind[k]);
+        }
+      });
 }

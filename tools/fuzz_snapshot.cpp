@@ -17,23 +17,11 @@
 //     so hostile length fields cannot trigger over-allocation; running this
 //     harness under ASan is how that claim is kept honest.
 //
-// Reproducibility mirrors fuzz_cert: every iteration derives its Rng from
-// (seed, iteration); --progress-file is overwritten with "seed iter" before
-// each decode so a sanitizer abort leaves a pointer to the fatal input, and
-// `fuzz_snapshot --seed S --replay I` re-runs that iteration verbosely.
-// Contract violations dump the mutant image under --artifact-dir and make
-// the run exit nonzero.
-//
-// Usage:
-//   fuzz_snapshot [--seed N] [--iters N] [--budget-seconds S]
-//                 [--artifact-dir DIR] [--progress-file PATH]
-//                 [--replay ITER] [--quiet]
+// Usage: fuzz_snapshot [campaign flags]; fuzz_campaign.hpp owns the flags,
+// seeds, budget, progress file, artifacts and replay.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -42,11 +30,12 @@
 #include "graph/generators.hpp"
 #include "snapshot/snapshot.hpp"
 
+#include "fuzz_campaign.hpp"
+
 namespace {
 
 using namespace lanecert;
-
-constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
+using fuzz::pick;
 
 struct CorpusEntry {
   const char* name;
@@ -93,29 +82,15 @@ enum class AttackKind {
 };
 
 const char* attackName(AttackKind k) {
-  switch (k) {
-    case AttackKind::kTruncate: return "truncate";
-    case AttackKind::kMagicCorrupt: return "magicCorrupt";
-    case AttackKind::kWrongVersion: return "wrongVersion";
-    case AttackKind::kStaleHash: return "staleHash";
-    case AttackKind::kCrcFlip: return "crcFlip";
-    case AttackKind::kLengthLie: return "lengthLie";
-    case AttackKind::kPayloadCorrupt: return "payloadCorrupt";
-    case AttackKind::kByteMutate: return "byteMutate";
-    case AttackKind::kCount: break;
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "truncate", "magicCorrupt", "wrongVersion",   "staleHash",
+      "crcFlip",  "lengthLie",    "payloadCorrupt", "byteMutate"};
+  return kNames[static_cast<int>(k)];
 }
 
-void putU32(std::string& s, std::size_t off, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    s[off + static_cast<std::size_t>(i)] =
-        static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-void putU64(std::string& s, std::size_t off, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
+/// Writes the low `bytes` bytes of `v` little-endian at `off`.
+void putLE(std::string& s, std::size_t off, int bytes, std::uint64_t v) {
+  for (int i = 0; i < bytes; ++i) {
     s[off + static_cast<std::size_t>(i)] =
         static_cast<char>((v >> (8 * i)) & 0xff);
   }
@@ -131,61 +106,55 @@ std::uint64_t getU64(const std::string& s, std::size_t off) {
   return v;
 }
 
-std::size_t pick(Rng& rng, std::size_t n) {
-  return static_cast<std::size_t>(rng.uniformInt(0, static_cast<int>(n) - 1));
-}
-
 // Section-table field offsets for entry `i` (layout: snapshot/format.hpp).
 std::size_t tableEntry(std::size_t i) {
   return snapshot::kHeaderBytes + i * snapshot::kSectionEntryBytes;
 }
 
-struct IterationOutcome {
-  std::size_t corpusIdx = 0;
-  AttackKind kind = AttackKind::kTruncate;
-  std::string mutant;
-  bool mustReject = false;  ///< invalid by construction
-  bool accepted = false;
-  bool violation = false;
-  const char* detail = "";
+struct Counters {
+  unsigned long long byKind[static_cast<int>(AttackKind::kCount)] = {};
+  unsigned long long accepts = 0;
 };
 
 /// Runs iteration `iter` of campaign `seed`.  Deterministic: same
 /// (seed, iter, corpus) -> same mutant, same verdict.
-IterationOutcome runIteration(std::uint64_t seed, std::uint64_t iter,
-                              const std::vector<CorpusEntry>& corpus) {
-  IterationOutcome out;
-  FuzzMutator mut(seed ^ (kGolden * (iter + 1)));
+fuzz::Outcome runIteration(std::uint64_t seed, std::uint64_t iter,
+                           const std::vector<CorpusEntry>& corpus,
+                           Counters& count) {
+  FuzzMutator mut(fuzz::iterationSeed(seed, iter));
   Rng& rng = mut.rng();
 
-  out.corpusIdx = pick(rng, corpus.size());
-  const CorpusEntry& entry = corpus[out.corpusIdx];
-  out.kind = static_cast<AttackKind>(
+  const std::size_t corpusIdx = pick(rng, corpus.size());
+  const CorpusEntry& entry = corpus[corpusIdx];
+  const auto kind = static_cast<AttackKind>(
       pick(rng, static_cast<std::size_t>(AttackKind::kCount)));
   std::string m = entry.image;
+  bool mustReject = false;  // invalid by construction
+  const char* detail = "";
 
-  switch (out.kind) {
+  switch (kind) {
     case AttackKind::kTruncate: {
       // Any strictly smaller size is invalid: the loader requires the file
       // to end exactly at the last payload byte.
       m.resize(pick(rng, m.size()));
-      out.mustReject = true;
-      out.detail = "truncated";
+      mustReject = true;
+      detail = "truncated";
       break;
     }
     case AttackKind::kMagicCorrupt: {
       const std::size_t off = pick(rng, snapshot::kMagic.size());
       m[off] = static_cast<char>(static_cast<unsigned char>(m[off]) ^
                                  (1u << pick(rng, 8)));
-      out.mustReject = true;
-      out.detail = "magic bit flip";
+      mustReject = true;
+      detail = "magic bit flip";
       break;
     }
     case AttackKind::kWrongVersion: {
-      putU32(m, 8, snapshot::kFormatVersion + 1 +
-                       static_cast<std::uint32_t>(pick(rng, 1000)));
-      out.mustReject = true;
-      out.detail = "unknown formatVersion";
+      putLE(m, 8, 4,
+            snapshot::kFormatVersion + 1 +
+                static_cast<std::uint32_t>(pick(rng, 1000)));
+      mustReject = true;
+      detail = "unknown formatVersion";
       break;
     }
     case AttackKind::kStaleHash: {
@@ -194,8 +163,8 @@ IterationOutcome runIteration(std::uint64_t seed, std::uint64_t iter,
       const std::size_t off = 16 + pick(rng, 8);
       m[off] = static_cast<char>(static_cast<unsigned char>(m[off]) ^
                                  (1u << pick(rng, 8)));
-      out.mustReject = true;
-      out.detail = "stale contentHash";
+      mustReject = true;
+      detail = "stale contentHash";
       break;
     }
     case AttackKind::kCrcFlip: {
@@ -203,8 +172,8 @@ IterationOutcome runIteration(std::uint64_t seed, std::uint64_t iter,
                               4 + pick(rng, 4);
       m[off] = static_cast<char>(static_cast<unsigned char>(m[off]) ^
                                  (1u << pick(rng, 8)));
-      out.mustReject = true;
-      out.detail = "section CRC bit flip";
+      mustReject = true;
+      detail = "section CRC bit flip";
       break;
     }
     case AttackKind::kLengthLie: {
@@ -214,10 +183,11 @@ IterationOutcome runIteration(std::uint64_t seed, std::uint64_t iter,
           tableEntry(pick(rng, snapshot::kSectionCount)) + 16;
       const std::uint64_t delta =
           1 + static_cast<std::uint64_t>(pick(rng, 1u << 20));
-      putU64(m, off, rng.uniformInt(0, 1) != 0 ? getU64(m, off) + delta
-                                               : getU64(m, off) - delta);
-      out.mustReject = true;
-      out.detail = "section length lie";
+      putLE(m, off, 8,
+            rng.uniformInt(0, 1) != 0 ? getU64(m, off) + delta
+                                      : getU64(m, off) - delta);
+      mustReject = true;
+      detail = "section length lie";
       break;
     }
     case AttackKind::kPayloadCorrupt: {
@@ -228,7 +198,7 @@ IterationOutcome runIteration(std::uint64_t seed, std::uint64_t iter,
       const std::size_t off = getU64(m, tableEntry(sec) + 8);
       const std::size_t len = getU64(m, tableEntry(sec) + 16);
       if (len == 0) {
-        out.detail = "empty section, no-op";
+        detail = "empty section, no-op";
         break;
       }
       const std::size_t hits = 1 + pick(rng, 4);
@@ -236,176 +206,76 @@ IterationOutcome runIteration(std::uint64_t seed, std::uint64_t iter,
         const std::size_t at = off + pick(rng, len);
         m[at] = static_cast<char>(rng.uniformInt(0, 255));
       }
-      putU32(m, tableEntry(sec) + 4,
+      putLE(m, tableEntry(sec) + 4, 4,
              snapshot::crc32(std::string_view(m).substr(off, len)));
-      out.detail = "payload corruption, CRC fixed";
+      detail = "payload corruption, CRC fixed";
       break;
     }
     case AttackKind::kByteMutate: {
       const CorpusEntry& donor =
-          corpus[(out.corpusIdx + 1 + pick(rng, corpus.size() - 1)) %
+          corpus[(corpusIdx + 1 + pick(rng, corpus.size() - 1)) %
                  corpus.size()];
       m = mut.mutateRandom(m, donor.image);
-      out.detail = "generic byte mutation";
+      detail = "generic byte mutation";
       break;
     }
     case AttackKind::kCount:
       break;
   }
-  out.mutant = std::move(m);
+  fuzz::Outcome out;
+  out.bytes = std::move(m);
 
   std::shared_ptr<const ProvePlan> plan;
+  bool violation = false;
   try {
-    plan = snapshot::decodeSnapshot(out.mutant, entry.key, entry.g);
+    plan = snapshot::decodeSnapshot(out.bytes, entry.key, entry.g);
   } catch (...) {
-    out.accepted = false;
-    out.violation = true;
-    out.detail = "decodeSnapshot THREW (contract: never throws)";
-    return out;
+    violation = true;
+    detail = "decodeSnapshot THREW (contract: never throws)";
   }
-  out.accepted = plan != nullptr;
-
-  if (out.accepted && out.mustReject &&
-      out.mutant != entry.image) {  // degenerate no-op mutants are fine
-    out.violation = true;
-    return out;
-  }
-  if (out.accepted) {
+  const bool accepted = plan != nullptr;
+  // A must-reject attack that left the image unchanged may be accepted.
+  if (accepted && mustReject && out.bytes != entry.image) {
+    violation = true;
+  } else if (accepted) {
     // Fixed-point contract: what we accepted must re-encode canonically.
     const std::string re = snapshot::encodeSnapshot(entry.key, *plan);
     const auto again = snapshot::decodeSnapshot(re, entry.key, entry.g);
     if (again == nullptr || snapshot::encodeSnapshot(entry.key, *again) != re) {
-      out.violation = true;
-      out.detail = "accepted plan is not a canonical fixed point";
+      violation = true;
+      detail = "accepted plan is not a canonical fixed point";
     }
   }
+  ++count.byKind[static_cast<int>(kind)];
+  if (accepted) ++count.accepts;
+  if (violation) out.verdict = fuzz::Verdict::kViolation;
+  out.fields = {
+      {"corpus", entry.name},
+      {"attack", attackName(kind)},
+      {"detail", detail},
+      {"expected", mustReject ? "reject" : "reject-or-fixed-point"},
+      {"got", accepted ? "accept" : "reject"},
+      {"original", std::to_string(entry.image.size()) + " bytes"}};
   return out;
-}
-
-void dumpArtifact(const std::string& dir, std::uint64_t seed,
-                  std::uint64_t iter, const CorpusEntry& entry,
-                  const IterationOutcome& out) {
-  const std::string stem = dir + "/crash-seed" + std::to_string(seed) +
-                           "-iter" + std::to_string(iter);
-  {
-    std::ofstream bin(stem + ".bin", std::ios::binary);
-    bin.write(out.mutant.data(),
-              static_cast<std::streamsize>(out.mutant.size()));
-  }
-  std::ofstream meta(stem + ".txt");
-  meta << "seed " << seed << "\niter " << iter << "\ncorpus " << entry.name
-       << "\nattack " << attackName(out.kind) << "\ndetail " << out.detail
-       << "\nexpected " << (out.mustReject ? "reject" : "reject-or-fixed-point")
-       << "\ngot " << (out.accepted ? "accept" : "reject")
-       << "\nreplay fuzz_snapshot --seed " << seed << " --replay " << iter
-       << "\n";
-  std::fprintf(stderr, "VIOLATION at iter %llu: wrote %s.{bin,txt}\n",
-               static_cast<unsigned long long>(iter), stem.c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t seed = 42;
-  std::uint64_t iters = 50000;
-  double budgetSeconds = 0;  // 0 = no wall-clock budget
-  std::string artifactDir = ".";
-  std::string progressFile;
-  long long replayIter = -1;
-  bool quiet = false;
-
-  for (int i = 1; i < argc; ++i) {
-    auto needsValue = [&](const char* flag) {
-      if (std::strcmp(argv[i], flag) != 0) return false;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return true;
-    };
-    if (needsValue("--seed")) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (needsValue("--iters")) {
-      iters = std::strtoull(argv[++i], nullptr, 10);
-    } else if (needsValue("--budget-seconds")) {
-      budgetSeconds = std::strtod(argv[++i], nullptr);
-    } else if (needsValue("--artifact-dir")) {
-      artifactDir = argv[++i];
-    } else if (needsValue("--progress-file")) {
-      progressFile = argv[++i];
-    } else if (needsValue("--replay")) {
-      replayIter = std::strtoll(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: fuzz_snapshot [--seed N] [--iters N] "
-                   "[--budget-seconds S] [--artifact-dir DIR] "
-                   "[--progress-file PATH] [--replay ITER] [--quiet]\n");
-      return 2;
-    }
-  }
-
+  fuzz::Campaign campaign("fuzz_snapshot", 50000);
+  if (!campaign.parse(argc, argv)) return 2;
   const std::vector<CorpusEntry> corpus = buildCorpus();
-
-  if (replayIter >= 0) {
-    const auto out =
-        runIteration(seed, static_cast<std::uint64_t>(replayIter), corpus);
-    std::printf("replay seed=%llu iter=%lld\n",
-                static_cast<unsigned long long>(seed), replayIter);
-    std::printf("corpus   %s\nattack   %s\ndetail   %s\n",
-                corpus[out.corpusIdx].name, attackName(out.kind), out.detail);
-    std::printf("expected %s\ngot      %s\nmutant   %zu bytes "
-                "(original %zu)\n",
-                out.mustReject ? "reject" : "reject-or-fixed-point",
-                out.accepted ? "accept" : "reject", out.mutant.size(),
-                corpus[out.corpusIdx].image.size());
-    return out.violation ? 1 : 0;
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t done = 0;
-  std::uint64_t violations = 0;
-  std::uint64_t accepts = 0;
-  std::uint64_t byKind[static_cast<int>(AttackKind::kCount)] = {};
-
-  for (std::uint64_t iter = 0; iter < iters; ++iter) {
-    if (budgetSeconds > 0) {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      if (elapsed.count() >= budgetSeconds) break;
-    }
-    if (!progressFile.empty()) {
-      // Overwritten BEFORE the decode: if the loader crashes under ASan,
-      // this file points at the fatal (seed, iter) pair.
-      std::ofstream p(progressFile, std::ios::trunc);
-      p << seed << " " << iter << "\n";
-    }
-    const auto out = runIteration(seed, iter, corpus);
-    ++done;
-    ++byKind[static_cast<int>(out.kind)];
-    if (out.accepted) ++accepts;
-    if (out.violation) {
-      ++violations;
-      dumpArtifact(artifactDir, seed, iter, corpus[out.corpusIdx], out);
-    }
-  }
-
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  if (!quiet) {
-    std::printf("fuzz_snapshot: %llu mutants in %.1fs (seed %llu)\n",
-                static_cast<unsigned long long>(done), elapsed.count(),
-                static_cast<unsigned long long>(seed));
-    for (int k = 0; k < static_cast<int>(AttackKind::kCount); ++k) {
-      std::printf("  attack %-14s %llu\n",
-                  attackName(static_cast<AttackKind>(k)),
-                  static_cast<unsigned long long>(byKind[k]));
-    }
-    std::printf("  accepted %llu (all fixed-point checked), violations %llu\n",
-                static_cast<unsigned long long>(accepts),
-                static_cast<unsigned long long>(violations));
-  }
-  if (!progressFile.empty()) std::remove(progressFile.c_str());
-  return violations == 0 ? 0 : 1;
+  Counters count;
+  return campaign.run(
+      [&](std::uint64_t iter) {
+        return runIteration(campaign.seed(), iter, corpus, count);
+      },
+      [&] {
+        for (int k = 0; k < static_cast<int>(AttackKind::kCount); ++k) {
+          std::printf("  attack %-14s %llu\n",
+                      attackName(static_cast<AttackKind>(k)), count.byKind[k]);
+        }
+        std::printf("  accepted %llu (all fixed-point checked)\n",
+                    count.accepts);
+      });
 }

@@ -17,21 +17,15 @@
 //     violation), and the server must still serve a FRESH connection
 //     afterwards (liveness).
 //
-// Reproducibility mirrors fuzz_cert: every iteration derives its mutant
-// from (seed, iter) alone; --replay re-runs one iteration verbosely;
-// violations dump crash-wire-* artifacts with a replay line.
-//
-// Usage:
-//   fuzz_wire [--seed N] [--iters N] [--budget-seconds S]
-//             [--artifact-dir DIR] [--progress-file PATH]
-//             [--server-every N] [--replay ITER] [--quiet]
+// Usage: fuzz_wire [campaign flags] [--server-every N]; fuzz_campaign.hpp
+// owns the flags, seeds, budget, progress file, artifacts and replay.  A
+// replay always runs the live-server probe.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,11 +38,13 @@
 #include "net/wire_client.hpp"
 #include "net/wire_server.hpp"
 
+#include "fuzz_campaign.hpp"
+
 namespace {
 
 using namespace lanecert;
+using fuzz::pick;
 
-constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
 /// Small on purpose: the padding flood that resolves length lies on the
 /// live server is 2x this.
 constexpr std::size_t kFuzzMaxFrame = 64 * 1024;
@@ -92,10 +88,6 @@ std::vector<CorpusEntry> buildCorpus() {
   return corpus;
 }
 
-std::size_t pick(Rng& rng, std::size_t n) {
-  return static_cast<std::size_t>(rng.uniformInt(0, static_cast<int>(n) - 1));
-}
-
 /// How the iteration built its hostile bytes from the corpus entry.
 enum class Shape {
   kMutateFramed,   ///< mutate the framed bytes (length prefix included)
@@ -106,27 +98,23 @@ enum class Shape {
 };
 
 const char* shapeName(Shape s) {
-  switch (s) {
-    case Shape::kMutateFramed:
-      return "mutateFramed";
-    case Shape::kMutatePayload:
-      return "mutatePayload";
-    case Shape::kTruncate:
-      return "truncate";
-    case Shape::kLengthLie:
-      return "lengthLie";
-    case Shape::kCount:
-      break;
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"mutateFramed", "mutatePayload",
+                                           "truncate", "lengthLie"};
+  return kNames[static_cast<int>(s)];
 }
+
+/// How the in-process parser and decoder took an iteration's bytes.
+const char* const kInProcessResults[] = {"parserRejected", "incomplete",
+                                         "bodyRejected", "decoded"};
 
 struct IterationOutcome {
   std::size_t corpusIdx = 0;
   Shape shape = Shape::kMutateFramed;
   FuzzKind kind = FuzzKind::kBitFlip;
-  std::string bytes;       ///< what goes on the wire
-  const char* result = ""; ///< human classification
+  std::string bytes;  ///< what goes on the wire
+  /// Index into kInProcessResults; -1 after an in-process violation.
+  int inProcess = -1;
+  const char* server = "not probed";  ///< serverReplied or connClosed
   bool violation = false;
   std::string detail;
 };
@@ -135,7 +123,7 @@ struct IterationOutcome {
 IterationOutcome buildIteration(std::uint64_t seed, std::uint64_t iter,
                                 const std::vector<CorpusEntry>& corpus) {
   IterationOutcome out;
-  FuzzMutator mut(seed ^ (kGolden * (iter + 1)));
+  FuzzMutator mut(fuzz::iterationSeed(seed, iter));
   Rng& rng = mut.rng();
 
   out.corpusIdx = pick(rng, corpus.size());
@@ -213,11 +201,10 @@ void checkInProcess(IterationOutcome& out, Rng& rng) {
     return;
   }
 
-  std::size_t decoded = 0, rejectedBodies = 0;
+  std::size_t rejectedBodies = 0;
   for (const std::string& frame : frames) {
     try {
       (void)net::decodeRequest(frame, kFuzzMaxVertices);
-      ++decoded;
     } catch (const DecodeError&) {
       ++rejectedBodies;
     } catch (const net::WireError&) {
@@ -230,11 +217,9 @@ void checkInProcess(IterationOutcome& out, Rng& rng) {
       return;
     }
   }
-  out.result = parserFailed ? "parserRejected"
-               : frames.empty()
-                   ? "incomplete"
-                   : (rejectedBodies > 0 ? "bodyRejected" : "decoded");
-  (void)decoded;
+  out.inProcess = parserFailed    ? 0
+                  : frames.empty() ? 1
+                                   : (rejectedBodies > 0 ? 2 : 3);
 }
 
 /// Live-server contract: hostile bytes then a ping then a padding flood;
@@ -253,19 +238,18 @@ void checkLiveServer(IterationOutcome& out, net::WireServer& server) {
     client.sendRaw(std::string(2 * kFuzzMaxFrame, '\xff'));
     try {
       (void)client.wait(pingId);
-      out.result = "serverReplied";
+      out.server = "serverReplied";
     } catch (const std::exception& e) {
       if (std::strstr(e.what(), "timeout") != nullptr) {
         out.violation = true;
         out.detail = std::string("server hang: ") + e.what();
         return;
       }
-      out.result = "connClosed";
+      out.server = "connClosed";
     }
-  } catch (const std::exception& e) {
+  } catch (const std::exception&) {
     // connect/send-level failure still counts as a terminal state.
-    out.result = "connClosed";
-    (void)e;
+    out.server = "connClosed";
   }
 
   // Liveness: whatever the hostile connection did, a fresh one works.
@@ -282,80 +266,19 @@ void checkLiveServer(IterationOutcome& out, net::WireServer& server) {
   }
 }
 
-void dumpArtifact(const std::string& dir, std::uint64_t seed,
-                  std::uint64_t iter, const CorpusEntry& entry,
-                  const IterationOutcome& out) {
-  const std::string stem = dir + "/crash-wire-seed" + std::to_string(seed) +
-                           "-iter" + std::to_string(iter);
-  {
-    std::ofstream bin(stem + ".bin", std::ios::binary);
-    bin.write(out.bytes.data(), static_cast<std::streamsize>(out.bytes.size()));
-  }
-  std::ofstream meta(stem + ".txt");
-  meta << "seed " << seed << "\niter " << iter << "\ncorpus " << entry.name
-       << "\nshape " << shapeName(out.shape) << "\nkind "
-       << fuzzKindName(out.kind) << "\ndetail " << out.detail
-       << "\nreplay fuzz_wire --seed " << seed << " --replay " << iter
-       << "\n";
-  std::fprintf(stderr, "VIOLATION at iter %llu: wrote %s.{bin,txt}\n",
-               static_cast<unsigned long long>(iter), stem.c_str());
-}
-
-void hexDump(const std::string& bytes) {
-  for (std::size_t i = 0; i < bytes.size() && i < 512; ++i) {
-    std::printf("%02x%s", static_cast<unsigned char>(bytes[i]),
-                (i + 1) % 16 == 0 ? "\n" : " ");
-  }
-  if (bytes.size() % 16 != 0 || bytes.size() > 512) std::printf("\n");
-  if (bytes.size() > 512) std::printf("(... %zu bytes)\n", bytes.size());
-}
+struct Counters {
+  unsigned long long byShape[static_cast<int>(Shape::kCount)] = {};
+  unsigned long long byResult[std::size(kInProcessResults)] = {};
+  unsigned long long serverRuns = 0;
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t seed = 42;
-  std::uint64_t iters = 100000;
-  double budgetSeconds = 0;
-  std::string artifactDir = ".";
-  std::string progressFile;
+  fuzz::Campaign campaign("fuzz_wire", 100000);
   std::uint64_t serverEvery = 101;  // prime stride: shapes x corpus rotate
-  long long replayIter = -1;
-  bool quiet = false;
-
-  for (int i = 1; i < argc; ++i) {
-    auto needsValue = [&](const char* flag) {
-      if (std::strcmp(argv[i], flag) != 0) return false;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return true;
-    };
-    if (needsValue("--seed")) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (needsValue("--iters")) {
-      iters = std::strtoull(argv[++i], nullptr, 10);
-    } else if (needsValue("--budget-seconds")) {
-      budgetSeconds = std::strtod(argv[++i], nullptr);
-    } else if (needsValue("--artifact-dir")) {
-      artifactDir = argv[++i];
-    } else if (needsValue("--progress-file")) {
-      progressFile = argv[++i];
-    } else if (needsValue("--server-every")) {
-      serverEvery = std::strtoull(argv[++i], nullptr, 10);
-    } else if (needsValue("--replay")) {
-      replayIter = std::strtoll(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: fuzz_wire [--seed N] [--iters N] "
-                   "[--budget-seconds S] [--artifact-dir DIR] "
-                   "[--progress-file PATH] [--server-every N] "
-                   "[--replay ITER] [--quiet]\n");
-      return 2;
-    }
-  }
+  campaign.flag("--server-every", &serverEvery);
+  if (!campaign.parse(argc, argv)) return 2;
 
   const std::vector<CorpusEntry> corpus = buildCorpus();
 
@@ -374,89 +297,44 @@ int main(int argc, char** argv) {
     return *server;
   };
 
-  if (replayIter >= 0) {
-    IterationOutcome out =
-        buildIteration(seed, static_cast<std::uint64_t>(replayIter), corpus);
-    Rng feedRng(seed ^ (kGolden * (static_cast<std::uint64_t>(replayIter) + 1)) ^
-                0x5eedu);
-    checkInProcess(out, feedRng);
-    const char* inProc = out.result;
-    const bool inProcViolation = out.violation;
-    const std::string inProcDetail = out.detail;
-    if (!out.violation) checkLiveServer(out, ensureServer());
-    std::printf("replay seed=%llu iter=%lld\n",
-                static_cast<unsigned long long>(seed), replayIter);
-    std::printf("corpus   %s\nshape    %s\nkind     %s\n",
-                corpus[out.corpusIdx].name, shapeName(out.shape),
-                fuzzKindName(out.kind));
-    std::printf("inproc   %s%s%s\nserver   %s\n", inProc,
-                inProcViolation ? " VIOLATION: " : "",
-                inProcViolation ? inProcDetail.c_str() : "", out.result);
-    std::printf("bytes    %zu:\n", out.bytes.size());
-    hexDump(out.bytes);
-    if (out.violation) std::printf("detail   %s\n", out.detail.c_str());
-    if (server) server->stop();
-    return out.violation ? 1 : 0;
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t done = 0, violations = 0, serverRuns = 0;
-  std::uint64_t byShape[static_cast<int>(Shape::kCount)] = {};
-  std::uint64_t byResult[4] = {};  // parserRejected/incomplete/bodyRejected/decoded
-
-  for (std::uint64_t iter = 0; iter < iters; ++iter) {
-    if (budgetSeconds > 0) {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      if (elapsed.count() >= budgetSeconds) break;
-    }
-    if (!progressFile.empty()) {
-      std::ofstream p(progressFile, std::ios::trunc);
-      p << seed << " " << iter << "\n";
-    }
-    IterationOutcome out = buildIteration(seed, iter, corpus);
-    ++byShape[static_cast<int>(out.shape)];
-    Rng feedRng(seed ^ (kGolden * (iter + 1)) ^ 0x5eedu);
-    checkInProcess(out, feedRng);
-    if (!out.violation) {
-      if (std::strcmp(out.result, "parserRejected") == 0) ++byResult[0];
-      if (std::strcmp(out.result, "incomplete") == 0) ++byResult[1];
-      if (std::strcmp(out.result, "bodyRejected") == 0) ++byResult[2];
-      if (std::strcmp(out.result, "decoded") == 0) ++byResult[3];
-      if (serverEvery > 0 && iter % serverEvery == 0) {
-        ++serverRuns;
-        checkLiveServer(out, ensureServer());
-      }
-    }
-    ++done;
-    if (out.violation) {
-      ++violations;
-      dumpArtifact(artifactDir, seed, iter, corpus[out.corpusIdx], out);
-    }
-  }
-
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  if (!quiet) {
-    std::printf("fuzz_wire: %llu mutants in %.1fs (seed %llu), %llu live-"
-                "server probes\n",
-                static_cast<unsigned long long>(done), elapsed.count(),
-                static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(serverRuns));
-    for (int s = 0; s < static_cast<int>(Shape::kCount); ++s) {
-      std::printf("  shape %-13s %llu\n", shapeName(static_cast<Shape>(s)),
-                  static_cast<unsigned long long>(byShape[s]));
-    }
-    std::printf("  parserRejected %llu, incomplete %llu, bodyRejected %llu, "
-                "decoded %llu\n",
-                static_cast<unsigned long long>(byResult[0]),
-                static_cast<unsigned long long>(byResult[1]),
-                static_cast<unsigned long long>(byResult[2]),
-                static_cast<unsigned long long>(byResult[3]));
-    std::printf("  violations: %llu\n",
-                static_cast<unsigned long long>(violations));
-  }
-  if (server) server->stop();
-  if (!progressFile.empty()) std::remove(progressFile.c_str());
-  return violations == 0 ? 0 : 1;
+  Counters count;
+  return campaign.run(
+      [&](std::uint64_t iter) {
+        IterationOutcome it = buildIteration(campaign.seed(), iter, corpus);
+        ++count.byShape[static_cast<int>(it.shape)];
+        Rng feedRng(fuzz::iterationSeed(campaign.seed(), iter) ^ 0x5eedu);
+        checkInProcess(it, feedRng);
+        if (!it.violation) {
+          ++count.byResult[it.inProcess];
+          if (campaign.replaying() ||
+              (serverEvery > 0 && iter % serverEvery == 0)) {
+            ++count.serverRuns;
+            checkLiveServer(it, ensureServer());
+          }
+        }
+        fuzz::Outcome out;
+        if (it.violation) out.verdict = fuzz::Verdict::kViolation;
+        out.bytes = std::move(it.bytes);
+        out.fields = {{"corpus", corpus[it.corpusIdx].name},
+                      {"shape", shapeName(it.shape)},
+                      {"kind", fuzzKindName(it.kind)},
+                      {"inproc", it.inProcess < 0
+                                     ? "violation"
+                                     : kInProcessResults[it.inProcess]},
+                      {"server", it.server},
+                      {"detail", it.detail}};
+        return out;
+      },
+      [&] {
+        std::printf("  live-server probes %llu\n", count.serverRuns);
+        for (int s = 0; s < static_cast<int>(Shape::kCount); ++s) {
+          std::printf("  shape %-13s %llu\n", shapeName(static_cast<Shape>(s)),
+                      count.byShape[s]);
+        }
+        std::printf(
+            "  parserRejected %llu, incomplete %llu, bodyRejected %llu, "
+            "decoded %llu\n",
+            count.byResult[0], count.byResult[1], count.byResult[2],
+            count.byResult[3]);
+      });
 }
